@@ -192,7 +192,6 @@ int main() {
         // canonical 1-worker figure; _w2/_w4 show what extra decode workers
         // buy (spare cores required — on one hardware thread they can only
         // timeslice).
-        hcfg.overlap_decode = true;
         for (const std::size_t workers :
              {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
             hcfg.decode_workers = workers;

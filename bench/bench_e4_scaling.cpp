@@ -99,7 +99,6 @@ int main() {
         // frames across parallel workers with ordered emission; on spare
         // cores overlap_x_wN should rise with N until decode stops being the
         // bottleneck, on a single hardware thread all points collapse to ~1.
-        hcfg.overlap_decode = true;
         for (const std::size_t workers :
              {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
             hcfg.decode_workers = workers;

@@ -8,6 +8,7 @@
 //   $ ./examples/htims_cli --order 8 --oversampling 2 --averages 8
 //   $ ./examples/htims_cli --mode sa --averages 16 --save frame.htms
 //   $ ./examples/htims_cli --sample digest --count 100
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -41,10 +42,12 @@ void usage() {
         "  --faults SPEC         fault plan, e.g. seed=7,cpu.fail=0.01,\n"
         "                        fpga.overrun@3 (see src/fault/fault.hpp)\n"
         "  --overlap             also stream the frame through the hybrid\n"
-        "                        pipeline, synchronous vs overlapped decode,\n"
-        "                        and report the overlap speedup\n"
-        "  --decode-workers N    overlapped-decode worker threads for the\n"
-        "                        hybrid runs (default 1; results identical)\n"
+        "                        pipeline, inline vs worker decode\n"
+        "                        (max(1, --decode-workers) workers), and\n"
+        "                        report the overlap speedup\n"
+        "  --decode-workers N    decode worker threads for the hybrid runs,\n"
+        "                        --record and --replay included (default 0 =\n"
+        "                        decode inline; results identical)\n"
         "  --batch N             producer staging batch in records for the\n"
         "                        hybrid runs (default 32; 1 = per-record)\n"
         "  --record PATH         stream the acquired frame through the hybrid\n"
@@ -58,8 +61,8 @@ void usage() {
         "  --fleet SPEC          run the acquired frame as a multi-stream\n"
         "                        fleet over a shared decode pool. SPEC is\n"
         "                        N[:workers[:frames]] (default workers 2,\n"
-        "                        frames 4); stream backends alternate\n"
-        "                        starting from --backend\n"
+        "                        0 = decode inline; frames 4); stream\n"
+        "                        backends alternate starting from --backend\n"
         "  --fleet-json PATH     write the fleet report (per-stream and\n"
         "                        aggregate p99 frame latency) as JSON\n"
         "  --analyze[=D]         run the hyperdimensional analysis stage on\n"
@@ -271,9 +274,9 @@ int main(int argc, char** argv) {
 
         if (overlap) {
             // Stream the acquired frame through the hybrid pipeline twice —
-            // decode inline on the consumer, then overlapped on a worker —
-            // and report the end-to-end speedup from hiding the decode
-            // behind ingestion.
+            // decode inline on the consumer, then on decode workers — and
+            // report the end-to-end speedup from hiding the decode behind
+            // ingestion.
             pipeline::HybridConfig hcfg;
             hcfg.backend = cfg.backend;
             hcfg.frames = 4;
@@ -286,8 +289,8 @@ int main(int argc, char** argv) {
             pipeline::HybridPipeline sync_pipe(simulator.engine().sequence(),
                                                simulator.layout(), period, hcfg);
             const auto sync_report = sync_pipe.run();
-            hcfg.overlap_decode = true;
-            hcfg.decode_workers = decode_workers;
+            const std::size_t workers = std::max<std::size_t>(1, decode_workers);
+            hcfg.decode_workers = workers;
             pipeline::HybridPipeline overlap_pipe(simulator.engine().sequence(),
                                                   simulator.layout(), period, hcfg);
             const auto overlap_report = overlap_pipe.run();
@@ -297,7 +300,7 @@ int main(int argc, char** argv) {
                     : 0.0;
             std::cout << "hybrid stream: sync "
                       << format_double(sync_report.sample_rate / 1e6, 2)
-                      << " Msamples/s, overlapped (w" << decode_workers << ") "
+                      << " Msamples/s, overlapped (w" << workers << ") "
                       << format_double(overlap_report.sample_rate / 1e6, 2)
                       << " Msamples/s (overlap_x " << format_double(overlap_x, 2)
                       << ", decode-wait "
@@ -321,7 +324,7 @@ int main(int argc, char** argv) {
                     return 2;
                 }
                 n_streams = a;
-                if (got >= 2 && b > 0) workers = b;
+                if (got >= 2) workers = b;
                 if (got >= 3 && c > 0) frames = c;
             }
             const auto period = pipeline::to_period_samples(

@@ -27,10 +27,11 @@
 #             ring at capacity boundaries (including the capacity-2 mixed
 #             single/batch wrap stress mirroring the model-checked litmus
 #             units), parallel_for grain edges, exporter-vs-writer telemetry
-#             traffic, hybrid start/stop under backpressure — synchronous
-#             and overlapped-decode — and fleet churn: multi-stream
-#             start/stop over the shared MPMC dispatch queue, dispatch
-#             backpressure, and pool shutdown with a non-empty queue. The
+#             traffic, one-stream engine start/stop under backpressure —
+#             inline decode and decode workers — and fleet churn:
+#             multi-stream start/stop over the shared MPMC dispatch queue,
+#             dispatch backpressure, and pool shutdown with a non-empty
+#             queue. The
 #             `tsan` ctest label then re-runs that
 #             focused set a second time for extra interleavings. TSan aborts
 #             the run on any report, so a green stage means zero races
@@ -47,7 +48,13 @@
 #   bench     bench-smoke gate in build-check/: build the bench targets,
 #             then run bench_kernels with a tiny min_time, bench_e16_fleet
 #             --tiny, and bench_e19_hdsearch --tiny (telemetry off so no
-#             JSON reports land in the tree). Fails on a crash/nonzero exit
+#             JSON reports land in the tree), then `python3 perfbench/run.py
+#             --self-test`: it builds the repository benchmark's driver
+#             against the public API (in the gitignored .bench_build/),
+#             runs every workload tiny, and checks that every
+#             BENCHMARK.json metric comes out in its unit and that the
+#             output oracles pass clean runs and catch a corrupted copy.
+#             Fails on a crash/nonzero exit (the self-test's included)
 #             or on a "REGRESSION" marker in the output — bench_kernels
 #             prints one when a headline speedup (batch ring transport vs
 #             per-record) drops below 1.0, bench_e16_fleet when the
@@ -229,7 +236,7 @@ else
 fi
 
 if [[ "$run_bench" == 1 ]]; then
-    echo "== bench: smoke-build benches + bench_kernels regression markers =="
+    echo "== bench: smoke-build benches, regression markers, perfbench self-test =="
     begin
     # Tiny min_time keeps this to seconds; HTIMS_TELEMETRY=0 suppresses the
     # JSON run reports the benches otherwise write into the working tree.
@@ -245,7 +252,8 @@ if [[ "$run_bench" == 1 ]]; then
             | tee -a "$bench_log" &&
         HTIMS_TELEMETRY=0 build-check/bench/bench_e19_hdsearch --tiny \
             | tee -a "$bench_log" &&
-        ! grep -q '^REGRESSION' "$bench_log"; then
+        ! grep -q '^REGRESSION' "$bench_log" &&
+        python3 perfbench/run.py --self-test; then
         stage bench PASS
     else
         stage bench FAIL

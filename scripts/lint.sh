@@ -20,13 +20,12 @@
 #                * no `std::endl` anywhere in src/, bench/, or examples/ —
 #                  the pipeline writes through buffered streams, and endl's
 #                  flush in a per-frame loop is a silent throughput bug;
-#                * no naked `std::thread` outside src/common/thread_pool.*,
-#                  src/pipeline/hybrid.cpp, and src/pipeline/fleet.cpp —
-#                  thread lifetime is owned by ThreadPool; the orchestrators
-#                  are allowlisted because their producer/consumer/worker
-#                  threads are constructed and joined inside one scope of
-#                  run(), which *is* the ownership rule. Tests may spawn
-#                  threads freely.
+#                * no naked `std::thread` outside src/common/thread_pool.*
+#                  and src/pipeline/fleet.cpp — thread lifetime is owned by
+#                  ThreadPool; the streaming engine is allowlisted because
+#                  its producer/consumer/worker threads are constructed and
+#                  joined inside one scope of run(), which *is* the
+#                  ownership rule. Tests may spawn threads freely.
 #                * every `std::atomic` outside src/common/ (the atomics
 #                  policy itself) and src/check/ (the model checker's shadow
 #                  atomics) must be accounted for in the "Concurrency
@@ -134,24 +133,20 @@ if [[ "$run_rules" == 1 ]]; then
         fi
     done < <(find src bench examples -name '*.cpp' -o -name '*.hpp' | sort)
 
-    # Rule 3: no naked std::thread outside the thread pool and the hybrid
-    # orchestrator (whose producer and decode worker are constructed and
-    # joined in one scope).
+    # Rule 3: no naked std::thread outside the thread pool and the
+    # streaming engine (whose producer, consumer, and pool worker threads
+    # are constructed and joined inside one scope of FleetRunner::run()).
     while IFS= read -r f; do
         case "$f" in
             src/common/thread_pool.hpp|src/common/thread_pool.cpp) continue ;;
-            src/pipeline/hybrid.cpp) continue ;;
-            # The fleet orchestrator follows the same rule: every producer,
-            # consumer, and pool worker thread is constructed and joined
-            # inside one scope of FleetRunner::run().
             src/pipeline/fleet.cpp) continue ;;
             # The model checker owns its pool of cooperative worker threads
             # outright (created by the explorer, joined in wind-down) — the
-            # same single-scope ownership rule as hybrid.cpp.
+            # same single-scope ownership rule as fleet.cpp.
             src/check/model.cpp) continue ;;
         esac
         if decomment "$f" | grep -nE 'std::thread[^_[:alnum:]]' | grep -q .; then
-            echo "rule violation (naked std::thread outside thread_pool/hybrid): $f"
+            echo "rule violation (naked std::thread outside thread_pool/fleet): $f"
             decomment "$f" | grep -nE 'std::thread[^_[:alnum:]]'
             rules_bad=1
         fi

@@ -70,8 +70,8 @@ public:
     void set_library(const SpectralLibrary* library) { library_ = library; }
 
     /// Analyze one decoded frame. MUST be called in frame order within a
-    /// stream — the pipeline orchestrators guarantee this by calling from
-    /// their turnstile-serialized emission sections. Calls for different
+    /// stream — the streaming engine guarantees this by calling from its
+    /// turnstile-serialized emission section. Calls for different
     /// streams may race freely.
     FrameVerdict analyze(std::uint32_t stream, std::uint64_t frame_index,
                          const pipeline::Frame& frame);

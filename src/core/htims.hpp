@@ -14,7 +14,7 @@
 //   telemetry/  — counters, histograms, span tracing, registry, JSON/CSV
 //                 run reports
 //   pipeline/   — frames, acquisition engine, FPGA model, CPU backend,
-//                 SPSC streaming, hybrid orchestrator
+//                 SPSC streaming, the streaming engine (hybrid, fleet)
 //   core/       — Simulator facade, peaks, metrics, experiment scaffolding
 #pragma once
 

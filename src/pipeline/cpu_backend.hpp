@@ -68,8 +68,8 @@ public:
     /// frame. Uses the batched tile path unless batch_lanes() == 1.
     ///
     /// Thread safety: one deconvolve at a time, but the calling thread may
-    /// change between calls (the hybrid orchestrator moves decode onto a
-    /// worker in overlapped mode). Retry/backoff state is per-call; the
+    /// change between calls (the streaming engine decodes on the consumer
+    /// or on pool workers). Retry/backoff state is per-call; the
     /// stats below are synchronized so any thread reads consistent values.
     Frame deconvolve(const Frame& raw);
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
+#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -20,27 +22,87 @@
 #include "pipeline/stream_link.hpp"
 #include "pipeline/turnstile.hpp"
 #include "telemetry/json.hpp"
-#include "telemetry/trace.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace htims::pipeline {
 
 namespace {
 
-/// One closed frame in flight from a stream consumer to the decode pool.
-/// Exactly one of `frame` (CPU backend: the accumulated raw frame) and
-/// `capture` (FPGA backend: the detached capture) is live — the stream's
-/// backend says which.
+/// One closed frame on its way from a stream consumer to decode. Exactly
+/// one of `frame` (CPU backend: the accumulated raw frame) and `capture`
+/// (FPGA backend: the detached capture) is live — the stream's backend
+/// says which.
 struct DispatchJob {
     std::uint32_t stream = 0;
     std::size_t index = 0;         ///< frame index within the stream
-    std::uint64_t dispatch_ns = 0; ///< when the consumer dispatched it
+    std::uint64_t dispatch_ns = 0; ///< when the consumer handed it on
     Frame frame;
     FpgaCapture capture;
 };
 
-/// Per-stream telemetry shard. Cache-line-aligned so neighbouring streams'
-/// hot emission counters never share a line (SNIPPETS.md's sharded-counter
-/// lesson: unsharded fleet counters collapse under worker contention).
+/// A stream's spare frame buffers in pool mode: the consumer takes one per
+/// closed frame and pool workers return them after emission, so the list
+/// bounds the stream's frames in flight. abort() releases a consumer
+/// blocked in pop() when the pool dies mid-run (no buffer would ever
+/// return).
+class FreeList {
+public:
+    void push(DispatchJob job) {
+        {
+            std::lock_guard lock(mutex_);
+            free_.push_back(std::move(job));
+        }
+        cv_.notify_one();
+    }
+
+    /// Blocks until a spent buffer comes back; nullopt after abort().
+    std::optional<DispatchJob> pop() {
+        std::unique_lock lock(mutex_);
+        cv_.wait(lock, [&] { return !free_.empty() || aborted_; });
+        if (free_.empty()) return std::nullopt;
+        DispatchJob job = std::move(free_.front());
+        free_.pop_front();
+        return job;
+    }
+
+    void abort() {
+        {
+            std::lock_guard lock(mutex_);
+            aborted_ = true;
+        }
+        cv_.notify_all();
+    }
+
+private:
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    std::deque<DispatchJob> free_;
+    bool aborted_ = false;
+};
+
+/// One thread's decoder for one stream: the backend the stream uses.
+struct Decoder {
+    std::unique_ptr<CpuBackend> cpu;
+    std::unique_ptr<FpgaPipeline> fpga;
+};
+
+Decoder make_decoder(const FleetStream& spec, std::size_t cpu_threads) {
+    const auto& cfg = spec.config;
+    Decoder d;
+    if (cfg.backend == BackendKind::kFpga) {
+        d.fpga = std::make_unique<FpgaPipeline>(spec.sequence, spec.layout, cfg.fpga);
+    } else {
+        d.cpu = std::make_unique<CpuBackend>(spec.sequence, spec.layout, cpu_threads);
+        if (cfg.faults != nullptr)
+            d.cpu->set_faults(cfg.faults, cfg.cpu_max_retries, cfg.cpu_retry_backoff_s);
+    }
+    return d;
+}
+
+/// Per-stream frame-latency shard. Cache-line-aligned so neighbouring
+/// streams' hot emission counters never share a line (SNIPPETS.md's
+/// sharded-counter lesson: unsharded fleet counters collapse under worker
+/// contention).
 struct alignas(kCacheLine) StreamShard {
     explicit StreamShard(const std::atomic<bool>* enabled) : latency(enabled) {}
     telemetry::LogHistogram latency;  ///< ns, dispatch -> ordered emission
@@ -49,11 +111,12 @@ struct alignas(kCacheLine) StreamShard {
 
 /// Everything one stream owns for the duration of run(). Heap-held (the
 /// shard and ring are neither movable nor copyable); thread roles:
-/// the producer thread writes producer_stall_s; the consumer thread owns
-/// totals/stream_done/decode_wait_s/consumer_idle_s/failure; last_frame /
-/// fpga / last_emit_ns are written only inside the turnstile-serialized
-/// emission section (the release-advance/acquire-observe edge orders them
-/// worker-to-worker, and the final join publishes them to the caller).
+/// the producer thread writes producer_stall_s; the consumer (its own
+/// thread, or the caller's for the last stream) owns own/totals/
+/// decode_wait_s/failure; last_frame / fpga / last_emit_ns are written only
+/// inside the turnstile-serialized emission section (the release-advance/
+/// acquire-observe edge orders them thread-to-thread, and the final join
+/// publishes them to the caller).
 struct StreamState {
     StreamState(const FleetStream& s, std::uint32_t index,
                 const std::atomic<bool>* stats)
@@ -62,25 +125,21 @@ struct StreamState {
     const FleetStream& spec;
     const std::uint32_t id;
     SpscRing<Block> ring;
-    std::optional<PeriodTemplateSource> template_source;
-    RecordSource* source = nullptr;
     LinkParams link{};
-    std::size_t buffers = 2;  ///< this stream's frames-in-flight bound
 
     OrderTurnstile<> turnstile;
-    DecodeChannel<DispatchJob> free_pool;  ///< free half only; work travels
-                                           ///< through the shared MPMC queue
+    FreeList free_list;  ///< pool mode only
     StreamShard shard;
     alignas(kCacheLine) std::atomic<std::uint64_t> drop_credits{0};
 
     // Producer-thread-owned.
     double producer_stall_s = 0.0;
 
-    // Consumer-thread-owned (read by the caller after the joins).
-    double consumer_idle_s = 0.0;
-    double decode_wait_s = 0.0;
+    // Consumer-owned (read by the caller after the joins).
+    Decoder own;  ///< built before any thread starts: the FPGA capture
+                  ///< side, and the CPU decoder too when decode is inline
     ConsumeTotals totals{};
-    bool stream_done = false;
+    double decode_wait_s = 0.0;
     std::exception_ptr failure;
 
     // Emission-section-owned (turnstile-serialized).
@@ -89,40 +148,42 @@ struct StreamState {
     std::uint64_t last_emit_ns = 0;
 };
 
-void validate_fleet(const std::vector<FleetStream>& streams,
-                    const FleetConfig& config) {
-    if (streams.empty())
-        throw ConfigError("a fleet needs at least one stream");
-    if (config.decode_workers == 0)
-        throw ConfigError("fleet decode_workers must be >= 1");
-    for (std::size_t i = 0; i < streams.size(); ++i) {
-        const std::string tag = "fleet stream " + std::to_string(i);
-        const auto& spec = streams[i];
-        const auto& cfg = spec.config;
-        if (cfg.frames == 0 || cfg.averages == 0)
-            throw ConfigError(tag + " needs frames >= 1 and averages >= 1");
-        if (cfg.ring_timeout_s < 0.0)
-            throw ConfigError(tag + ": ring_timeout_s cannot be negative");
-        if (cfg.cpu_max_retries < 0)
-            throw ConfigError(tag + ": cpu_max_retries cannot be negative");
-        if (cfg.batch_records == 0)
-            throw ConfigError(tag + ": batch_records must be >= 1");
-        if (spec.layout.mz_bins == 0 || spec.layout.drift_bins == 0)
-            throw ConfigError(tag + ": stream layout is empty");
-        const std::uint64_t expected = static_cast<std::uint64_t>(cfg.frames) *
-                                       cfg.averages * spec.layout.drift_bins;
-        if (spec.source != nullptr) {
-            if (spec.source->total_records() != expected)
-                throw ConfigError(tag + ": record source delivers " +
-                                  std::to_string(spec.source->total_records()) +
-                                  " records; the configured run streams " +
-                                  std::to_string(expected));
-        } else if (spec.period_samples.size() != spec.layout.cells()) {
-            throw ConfigError(tag +
-                              ": period sample template must have "
-                              "layout.cells() entries");
-        }
+/// Decode one closed frame and emit it in stream order: the step every pool
+/// worker and every inline consumer runs.
+void decode_and_emit(StreamState& st, const DispatchJob& job, Decoder& dec,
+                     telemetry::LogHistogram& agg_latency) {
+    auto& tel = telemetry::Registry::global();
+    static auto& c_frames = tel.counter("hybrid.frames");
+    static auto& h_decode = tel.histogram("hybrid.decode_overlap_ns");
+    static auto& h_frame = tel.histogram("hybrid.frame_ns");
+    static const auto kStageDecode = tel.intern("hybrid.decode_worker");
+    static const auto kStageFrame = tel.intern("hybrid.frame");
+    const auto& cfg = st.spec.config;
+
+    const std::uint64_t t0 = telemetry::now_ns();
+    Frame decoded;
+    {
+        auto decode_span = tel.span(kStageDecode);
+        decoded = dec.fpga ? dec.fpga->finalize_frame(job.capture)
+                           : dec.cpu->deconvolve(job.frame);
     }
+    h_decode.observe(telemetry::now_ns() - t0);
+    if (!st.turnstile.wait_turn(job.index)) return;  // the pool died
+    if (dec.fpga) st.fpga = dec.fpga->report();
+    if (cfg.frame_sink) cfg.frame_sink(job.index, decoded);
+    if (cfg.analysis) cfg.analysis->analyze(st.id, job.index, decoded);
+    st.last_frame = std::move(decoded);
+    const std::uint64_t now = telemetry::now_ns();
+    st.shard.latency.observe(now - job.dispatch_ns);
+    agg_latency.observe(now - job.dispatch_ns);
+    st.shard.frames_emitted.fetch_add(1, std::memory_order_relaxed);
+    c_frames.increment();
+    h_frame.observe(now - st.last_emit_ns);
+    if (telemetry::kCompiledIn && tel.enabled())
+        tel.trace().record(telemetry::SpanEvent{kStageFrame, telemetry::thread_slot(),
+                                                1, st.last_emit_ns, now});
+    st.last_emit_ns = now;
+    st.turnstile.advance();
 }
 
 telemetry::JsonValue summary_json(const telemetry::HistogramSummary& s) {
@@ -138,6 +199,36 @@ telemetry::JsonValue summary_json(const telemetry::HistogramSummary& s) {
 }
 
 }  // namespace
+
+void validate_stream(const FleetStream& stream, std::size_t decode_workers,
+                     const std::string& who) {
+    const auto& cfg = stream.config;
+    if (cfg.frames == 0 || cfg.averages == 0)
+        throw ConfigError(who + " needs frames >= 1 and averages >= 1");
+    if (cfg.ring_timeout_s < 0.0)
+        throw ConfigError(who + ": ring_timeout_s cannot be negative");
+    if (cfg.cpu_max_retries < 0)
+        throw ConfigError(who + ": cpu_max_retries cannot be negative");
+    if (cfg.batch_records == 0)
+        throw ConfigError(who + ": batch_records must be >= 1");
+    if (decode_workers > 0 && cfg.decode_buffers < 2)
+        throw ConfigError(who + ": decode workers need decode_buffers >= 2");
+    if (stream.layout.mz_bins == 0 || stream.layout.drift_bins == 0)
+        throw ConfigError(who + ": stream layout is empty");
+    const std::uint64_t expected = static_cast<std::uint64_t>(cfg.frames) *
+                                   cfg.averages * stream.layout.drift_bins;
+    if (stream.source != nullptr) {
+        if (stream.source->total_records() != expected)
+            throw ConfigError(who + ": record source delivers " +
+                              std::to_string(stream.source->total_records()) +
+                              " records; the configured run streams " +
+                              std::to_string(expected));
+    } else if (stream.period_samples.size() != stream.layout.cells()) {
+        throw ConfigError(who +
+                          ": period sample template must have "
+                          "layout.cells() entries");
+    }
+}
 
 std::string fleet_report_json(const FleetReport& report) {
     using telemetry::JsonValue;
@@ -180,11 +271,32 @@ std::string fleet_report_json(const FleetReport& report) {
 
 FleetRunner::FleetRunner(std::vector<FleetStream> streams,
                          const FleetConfig& config)
-    : streams_(std::move(streams)), config_(config) {
-    validate_fleet(streams_, config_);
+    : streams_(std::move(streams)), templates_(streams_.size()), config_(config) {
+    if (streams_.empty())
+        throw ConfigError("a fleet needs at least one stream");
+    for (std::size_t i = 0; i < streams_.size(); ++i) {
+        auto& spec = streams_[i];
+        const std::string tag = "fleet stream " + std::to_string(i);
+        validate_stream(spec, config_.decode_workers, tag);
+        if (spec.config.decode_workers != 0)
+            throw ConfigError(tag + ": decode_workers belongs to FleetConfig");
+        if (spec.source == nullptr) {
+            templates_[i] = std::make_unique<PeriodTemplateSource>(
+                std::move(spec.period_samples), spec.layout, spec.config.frames,
+                spec.config.averages);
+            spec.source = templates_[i].get();
+        }
+    }
 }
 
 FleetReport FleetRunner::run() {
+    auto& tel = telemetry::Registry::global();
+    static auto& g_queue = tel.gauge("hybrid.decode_queue_depth");
+    static auto& h_queue = tel.histogram("hybrid.decode_queue_depth");
+    static auto& h_wait = tel.histogram("hybrid.decode_wait_ns");
+    static const auto kStageRun = tel.intern("hybrid.run");
+    auto run_span = tel.span(kStageRun);
+
     const std::size_t n = streams_.size();
     const std::size_t workers_n = config_.decode_workers;
     std::atomic<bool> stats_on{true};
@@ -195,30 +307,28 @@ FleetReport FleetRunner::run() {
     states.reserve(n);
     std::size_t inflight_total = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        auto& spec = streams_[i];
+        const auto& spec = streams_[i];
         const auto& cfg = spec.config;
         auto st = std::make_unique<StreamState>(
             spec, static_cast<std::uint32_t>(i), &stats_on);
 
-        const std::size_t record_len = spec.layout.mz_bins;
         const std::size_t records_per_period = spec.layout.drift_bins;
         const std::uint64_t records_total =
             static_cast<std::uint64_t>(cfg.frames) * cfg.averages *
             records_per_period;
-        if (spec.source != nullptr) {
-            st->source = spec.source;
-        } else {
-            st->template_source.emplace(spec.period_samples, spec.layout,
-                                        cfg.frames, cfg.averages);
-            st->source = &*st->template_source;
-        }
-
-        // Same batch sizing and retention window as the solo orchestrator:
-        // transport behaviour (and therefore the digests) must match it.
+        HTIMS_CHECK(spec.source->total_records() == records_total,
+                    "record source matches the configured stream");
+        // Batch sizing: the producer stages up to batch_cap records per ring
+        // publication and the consumer pops the same amount per protocol
+        // round trip. batch_records = 1 restores the per-record transport
+        // exactly — including its backpressure granularity.
         const std::size_t batch_cap = std::max<std::size_t>(
             1, std::min(cfg.batch_records, st->ring.capacity()));
-        st->source->set_window(st->ring.capacity() + 2 * batch_cap + 2);
-        st->link = LinkParams{record_len,
+        // Ring capacity + the producer's staged batch + the consumer's
+        // popped batch + the blocks in either thread's hands: the most
+        // record spans ever outstanding at once.
+        spec.source->set_window(st->ring.capacity() + 2 * batch_cap + 2);
+        st->link = LinkParams{spec.layout.mz_bins,
                               records_per_period,
                               records_total,
                               static_cast<std::uint64_t>(cfg.averages) *
@@ -230,28 +340,33 @@ FleetReport FleetRunner::run() {
                               cfg.ring_timeout_s,
                               cfg.faults};
 
-        // decode_buffers bounds this stream's frames in flight: one
-        // accumulating at the consumer plus buffers-1 queued or decoding.
-        st->buffers = std::max<std::size_t>(cfg.decode_buffers, 2);
-        for (std::size_t b = 0; b + 1 < st->buffers; ++b) {
-            if (cfg.backend == BackendKind::kFpga)
-                st->free_pool.push_free(DispatchJob{});  // bins allocated on
-                                                         // first recycle
-            else
-                st->free_pool.push_free(
-                    DispatchJob{0, 0, 0, Frame(spec.layout), {}});
+        if (cfg.backend == BackendKind::kFpga || workers_n == 0)
+            st->own = make_decoder(spec, cfg.cpu_threads);
+        if (st->own.fpga && cfg.faults != nullptr) st->own.fpga->set_faults(cfg.faults);
+
+        // With a pool, decode_buffers (>= 2, validated) bounds this
+        // stream's frames in flight: one accumulating at the consumer plus
+        // decode_buffers-1 spares queued or decoding. FPGA spares start
+        // empty: capture_frame allocates their bins.
+        if (workers_n > 0) {
+            for (std::size_t b = 0; b + 1 < cfg.decode_buffers; ++b)
+                st->free_list.push(DispatchJob{
+                    st->id, 0, 0,
+                    cfg.backend == BackendKind::kFpga ? Frame{} : Frame(spec.layout),
+                    {}});
+            inflight_total += cfg.decode_buffers - 1;
         }
-        inflight_total += st->buffers - 1;
         states.push_back(std::move(st));
     }
 
     // The auto-sized dispatch queue can hold every frame that can possibly
     // be in flight at once, so a full queue (consumer-side backpressure)
     // only happens when the caller asked for a smaller dispatch_depth.
-    const std::size_t depth = config_.dispatch_depth > 0
-                                  ? config_.dispatch_depth
-                                  : std::max<std::size_t>(2, inflight_total);
-    MpmcQueue<DispatchJob> queue(depth);
+    std::optional<MpmcQueue<DispatchJob>> queue;
+    if (workers_n > 0)
+        queue.emplace(config_.dispatch_depth > 0
+                          ? config_.dispatch_depth
+                          : std::max<std::size_t>(2, inflight_total));
 
     // Consumers still running; workers exit once this hits zero AND the
     // queue is drained. Each consumer decrements with release after its
@@ -264,160 +379,153 @@ FleetReport FleetRunner::run() {
 
     WallTimer wall;
     const std::uint64_t run_start_ns = telemetry::now_ns();
+    for (auto& st : states) st->last_emit_ns = run_start_ns;
 
-    // --- Producers --------------------------------------------------------
+    // --- Consumer body, one run per stream --------------------------------
+    const auto consume = [&](StreamState* st) {
+        const auto& cfg = st->spec.config;
+        bool down = false;  // the decode pool died: drain without dispatch
+        // Hand a closed frame on: decode it here, or queue it for the
+        // pool. A full dispatch queue stalls only this stream (its ring
+        // then fills and its producer stalls — the backpressure chain
+        // stays stream-local).
+        const auto hand_off = [&](DispatchJob& job) {
+            job.dispatch_ns = telemetry::now_ns();
+            if (!queue) {
+                decode_and_emit(*st, job, st->own, agg_latency);
+                return;
+            }
+            if (!queue->try_push(std::move(job))) {
+                WallTimer wait;
+                do {
+                    std::this_thread::yield();
+                } while (!queue->try_push(std::move(job)));
+                st->decode_wait_s += wait.seconds();
+            }
+            const auto depth = static_cast<std::int64_t>(queue->size());
+            g_queue.set(depth);
+            h_queue.observe(static_cast<std::uint64_t>(depth));
+        };
+        // Pool mode: the next spare buffer, already carrying this stream's
+        // id; none once the pool died.
+        const auto take_free = [&] {
+            WallTimer wait;
+            auto spent = st->free_list.pop();
+            const double waited = wait.seconds();
+            st->decode_wait_s += waited;
+            h_wait.observe(static_cast<std::uint64_t>(waited * 1e9));
+            down = !spent;
+            return spent;
+        };
+        try {
+            if (cfg.backend == BackendKind::kFpga) {
+                FpgaPipeline& fpga = *st->own.fpga;
+                // The capture in hand: a spent one whose bins the next
+                // capture_frame recycles.
+                DispatchJob job{st->id, 0, 0, {}, {}};
+                consume_stream(
+                    st->ring, st->link, st->drop_credits, st->totals,
+                    [&](const Block& block) {
+                        if (down) return;
+                        fpga.push_samples(std::span(block.data, block.size));
+                    },
+                    [&](std::size_t index, bool /*more_frames*/) {
+                        if (down) return;
+                        if (queue) {
+                            auto spent = take_free();
+                            if (!spent) return;
+                            job = std::move(*spent);
+                        }
+                        job.index = index;
+                        job.capture = fpga.capture_frame(std::move(job.capture));
+                        hand_off(job);
+                    });
+            } else {
+                // The frame being accumulated.
+                DispatchJob job{st->id, 0, 0, Frame(st->spec.layout), {}};
+                const std::size_t records_per_period =
+                    st->link.records_per_period;
+                consume_stream(
+                    st->ring, st->link, st->drop_credits, st->totals,
+                    [&](const Block& block) {
+                        if (down) return;  // the frame was handed off
+                        const std::size_t record_in_period =
+                            static_cast<std::size_t>(block.seq %
+                                                     records_per_period);
+                        auto row = job.frame.record(record_in_period);
+                        for (std::size_t i = 0; i < block.size; ++i)
+                            row[i] += static_cast<double>(block.data[i]);
+                    },
+                    [&](std::size_t index, bool more_frames) {
+                        if (down) return;
+                        job.index = index;
+                        hand_off(job);
+                        if (!queue) {
+                            job.frame.fill(0.0);
+                        } else if (more_frames) {
+                            if (auto spent = take_free()) job = std::move(*spent);
+                        }
+                    });
+            }
+        } catch (...) {
+            st->failure = std::current_exception();
+            // The producer only exits after delivering the sentinel:
+            // drain this stream's link (discarding records) so it can.
+            if (!st->totals.stream_done) {
+                for (;;) {
+                    auto block = st->ring.try_pop();
+                    if (!block) {
+                        std::this_thread::yield();
+                        continue;
+                    }
+                    if (block->end) break;
+                }
+            }
+        }
+        active.fetch_sub(1, std::memory_order_release);
+    };
+
+    // --- Threads: producers, then consumers, then the decode pool ---------
     std::vector<std::thread> producers;
     producers.reserve(n);
     for (auto& stp : states) {
         producers.emplace_back([st = stp.get()] {
-            produce_stream(st->ring, *st->source, st->link, st->drop_credits,
-                           ProducerHooks{
-                               [st](double stalled) {
-                                   st->producer_stall_s += stalled;
-                               },
-                               [] {},
-                           });
+            st->producer_stall_s = produce_stream(st->ring, *st->spec.source,
+                                                  st->link, st->drop_credits);
         });
     }
-
-    // --- Consumers --------------------------------------------------------
     std::vector<std::thread> consumers;
-    consumers.reserve(n);
-    for (auto& stp : states) {
-        consumers.emplace_back([st = stp.get(), &queue, &active] {
-            const auto& cfg = st->spec.config;
-            // Blocking enqueue: a full dispatch queue stalls only this
-            // stream (its ring then fills and its producer stalls — the
-            // backpressure chain stays stream-local).
-            const auto dispatch = [&](DispatchJob job) {
-                job.dispatch_ns = telemetry::now_ns();
-                if (!queue.try_push(std::move(job))) {
-                    WallTimer wait;
-                    do {
-                        std::this_thread::yield();
-                    } while (!queue.try_push(std::move(job)));
-                    st->decode_wait_s += wait.seconds();
-                }
-            };
-            const auto hooks = ConsumerHooks{
-                [st](double idled) { st->consumer_idle_s += idled; },
-                [](std::size_t) {},
-                [] {},
-                [](std::uint64_t) {},
-                [] {},
-            };
-            try {
-                bool down = false;  // decode pool died; drain without dispatch
-                if (cfg.backend == BackendKind::kFpga) {
-                    FpgaPipeline fpga(st->spec.sequence, st->spec.layout,
-                                      cfg.fpga);
-                    if (cfg.faults != nullptr) fpga.set_faults(cfg.faults);
-                    fpga.begin_frame();
-                    st->totals = consume_stream(
-                        st->ring, st->link, st->drop_credits, st->stream_done,
-                        [&](const Block& block) {
-                            if (down) return;
-                            fpga.push_samples(std::span(block.data, block.size));
-                        },
-                        [&](std::size_t index, bool /*more_frames*/) {
-                            if (down) return;
-                            WallTimer wait;
-                            auto spent = st->free_pool.pop_free();
-                            st->decode_wait_s += wait.seconds();
-                            if (!spent) {
-                                down = true;
-                                return;
-                            }
-                            dispatch(DispatchJob{
-                                st->id, index, 0, {},
-                                fpga.capture_frame(std::move(spent->capture))});
-                        },
-                        hooks);
-                } else {
-                    Frame accum(st->spec.layout);
-                    const std::size_t records_per_period =
-                        st->link.records_per_period;
-                    st->totals = consume_stream(
-                        st->ring, st->link, st->drop_credits, st->stream_done,
-                        [&](const Block& block) {
-                            if (down) return;  // accum was handed off
-                            const std::size_t record_in_period =
-                                static_cast<std::size_t>(block.seq %
-                                                         records_per_period);
-                            auto row = accum.record(record_in_period);
-                            for (std::size_t i = 0; i < block.size; ++i)
-                                row[i] += static_cast<double>(block.data[i]);
-                        },
-                        [&](std::size_t index, bool more_frames) {
-                            if (down) return;
-                            dispatch(DispatchJob{st->id, index, 0,
-                                                 std::move(accum), {}});
-                            if (!more_frames) return;
-                            WallTimer wait;
-                            auto spent = st->free_pool.pop_free();
-                            st->decode_wait_s += wait.seconds();
-                            if (!spent) {
-                                down = true;
-                                return;
-                            }
-                            accum = std::move(spent->frame);
-                        },
-                        hooks);
-                }
-            } catch (...) {
-                st->failure = std::current_exception();
-                // The producer only exits after delivering the sentinel:
-                // drain this stream's link (discarding records) so it can.
-                if (!st->stream_done) {
-                    for (;;) {
-                        auto block = st->ring.try_pop();
-                        if (!block) {
-                            std::this_thread::yield();
-                            continue;
-                        }
-                        if (block->end) break;
-                    }
-                }
-            }
-            active.fetch_sub(1, std::memory_order_release);
-        });
-    }
+    consumers.reserve(n - 1);
+    for (std::size_t i = 0; i + 1 < n; ++i)
+        consumers.emplace_back(consume, states[i].get());
 
-    // --- Shared decode pool -----------------------------------------------
-    // Per-(worker, stream) decoders, created lazily on the first frame a
-    // worker sees from a stream. Decode is a pure function of the closed
-    // frame for both backends, so worker routing cannot change a stream's
-    // bits; only retry/cycle accounting is per-decoder (summed per stream
-    // after the joins).
-    struct WorkerDecoders {
-        std::vector<std::unique_ptr<CpuBackend>> cpu;
-        std::vector<std::unique_ptr<FpgaPipeline>> fpga;
-    };
-    std::vector<WorkerDecoders> decoders(workers_n);
-    for (auto& d : decoders) {
-        d.cpu.resize(n);
-        d.fpga.resize(n);
-    }
-
+    // Per-(worker, stream) decoders, created on the first frame a worker
+    // sees from a stream. Decode is a pure function of the closed frame for
+    // both backends, so worker routing cannot change a stream's bits; only
+    // retry/cycle accounting is per-decoder (summed per stream after the
+    // joins). Each CPU decoder gets its share of the stream's cpu_threads
+    // (hardware concurrency when 0), at least one.
+    std::vector<std::vector<Decoder>> decoders(workers_n);
+    for (auto& row : decoders) row.resize(n);
     const auto recycle = [&states](DispatchJob job) {
         StreamState& st = *states[job.stream];
         if (st.spec.config.backend != BackendKind::kFpga) job.frame.fill(0.0);
-        st.free_pool.push_free(std::move(job));
+        st.free_list.push(std::move(job));
     };
 
     std::vector<std::thread> workers;
     workers.reserve(workers_n);
     for (std::size_t w = 0; w < workers_n; ++w) {
         workers.emplace_back([&, w] {
-            WorkerDecoders& local = decoders[w];
+            std::vector<Decoder>& local = decoders[w];
             try {
                 for (;;) {
-                    auto job = queue.try_pop();
+                    auto job = queue->try_pop();
                     if (!job) {
                         if (active.load(std::memory_order_acquire) == 0) {
                             // Every consumer has finished; one more pop
                             // cannot miss a job (see the `active` comment).
-                            job = queue.try_pop();
+                            job = queue->try_pop();
                             if (!job) break;
                         } else {
                             std::this_thread::yield();
@@ -425,47 +533,17 @@ FleetReport FleetRunner::run() {
                         }
                     }
                     StreamState& st = *states[job->stream];
-                    const auto& cfg = st.spec.config;
-                    if (decode_down.load(std::memory_order_relaxed)) {
-                        recycle(std::move(*job));
-                        continue;
-                    }
-                    Frame decoded;
-                    const FpgaCycleReport* fpga_report = nullptr;
-                    if (cfg.backend == BackendKind::kFpga) {
-                        auto& dec = local.fpga[job->stream];
-                        if (!dec)
-                            dec = std::make_unique<FpgaPipeline>(
-                                st.spec.sequence, st.spec.layout, cfg.fpga);
-                        decoded = dec->finalize_frame(job->capture);
-                        fpga_report = &dec->report();
-                    } else {
-                        auto& dec = local.cpu[job->stream];
-                        if (!dec) {
-                            dec = std::make_unique<CpuBackend>(
-                                st.spec.sequence, st.spec.layout, 1);
-                            if (cfg.faults != nullptr)
-                                dec->set_faults(cfg.faults, cfg.cpu_max_retries,
-                                                cfg.cpu_retry_backoff_s);
+                    if (!decode_down.load(std::memory_order_relaxed)) {
+                        Decoder& dec = local[job->stream];
+                        if (!dec.cpu && !dec.fpga) {
+                            const std::size_t threads =
+                                st.spec.config.cpu_threads > 0
+                                    ? st.spec.config.cpu_threads
+                                    : std::thread::hardware_concurrency();
+                            dec = make_decoder(
+                                st.spec, std::max<std::size_t>(1, threads / workers_n));
                         }
-                        decoded = dec->deconvolve(job->frame);
-                    }
-                    if (st.turnstile.wait_turn(job->index)) {
-                        if (fpga_report != nullptr) st.fpga = *fpga_report;
-                        if (cfg.frame_sink)
-                            cfg.frame_sink(job->index, decoded);
-                        if (cfg.analysis)
-                            cfg.analysis->analyze(job->stream, job->index,
-                                                  decoded);
-                        st.last_frame = std::move(decoded);
-                        const std::uint64_t now = telemetry::now_ns();
-                        const std::uint64_t lat = now - job->dispatch_ns;
-                        st.shard.latency.observe(lat);
-                        agg_latency.observe(lat);
-                        st.shard.frames_emitted.fetch_add(
-                            1, std::memory_order_relaxed);
-                        st.last_emit_ns = now;
-                        st.turnstile.advance();
+                        decode_and_emit(st, *job, dec, agg_latency);
                     }
                     recycle(std::move(*job));
                 }
@@ -476,20 +554,20 @@ FleetReport FleetRunner::run() {
                 }
                 decode_down.store(true, std::memory_order_relaxed);
                 // Release every stream: waiters get a false turn, consumers
-                // blocked on pop_free wake with nullopt and stop
+                // blocked on a spare buffer wake with none and stop
                 // dispatching. Then keep recycling so in-flight buffers
                 // return and the queue drains.
                 for (auto& s : states) {
                     s->turnstile.abort();
-                    s->free_pool.abort();
+                    s->free_list.abort();
                 }
                 for (;;) {
-                    if (auto job = queue.try_pop()) {
+                    if (auto job = queue->try_pop()) {
                         recycle(std::move(*job));
                         continue;
                     }
                     if (active.load(std::memory_order_acquire) == 0) {
-                        if (auto job = queue.try_pop()) {
+                        if (auto job = queue->try_pop()) {
                             recycle(std::move(*job));
                             continue;
                         }
@@ -500,6 +578,11 @@ FleetReport FleetRunner::run() {
             }
         });
     }
+
+    // The last stream's consumer runs here, on the thread that would
+    // otherwise only wait to join: a solo run is its producer plus the
+    // caller. It starts last, after the pool it may wait on.
+    consume(states.back().get());
 
     for (auto& t : producers) t.join();
     for (auto& t : consumers) t.join();
@@ -519,14 +602,20 @@ FleetReport FleetRunner::run() {
     for (std::size_t i = 0; i < n; ++i) {
         StreamState& st = *states[i];
         const auto& cfg = st.spec.config;
-        // Lossless-handoff postconditions per stream, degraded-mode aware
-        // (mirrors the solo orchestrator's).
-        HTIMS_CHECK(st.ring.empty(), "fleet stream fully drained at end of run");
+        // Lossless-handoff postconditions per stream, degraded-mode aware:
+        // the ring fully drained, every configured frame was closed and
+        // emitted once, and nothing was dropped unless a drop policy or an
+        // injected fault was in play.
+        HTIMS_CHECK(st.ring.empty(), "stream fully drained at end of run");
         HTIMS_CHECK(st.totals.frames_closed == cfg.frames,
                     "every configured frame of every stream was closed");
         HTIMS_CHECK(st.shard.frames_emitted.load(std::memory_order_relaxed) ==
                         cfg.frames,
                     "every closed frame was decoded and emitted exactly once");
+        HTIMS_CHECK(st.totals.records_dropped == 0 ||
+                        cfg.ring_policy != RingFullPolicy::kBlock ||
+                        cfg.ring_timeout_s > 0.0 || cfg.faults != nullptr,
+                    "unbounded Block policy without faults never drops records");
 
         FleetStreamReport sr;
         HybridReport& r = sr.report;
@@ -535,7 +624,7 @@ FleetReport FleetRunner::run() {
         r.records_dropped = st.totals.records_dropped;
         r.frames_degraded = st.totals.frames_degraded;
         r.producer_stall_seconds = st.producer_stall_s;
-        r.consumer_idle_seconds = st.consumer_idle_s;
+        r.consumer_idle_seconds = st.totals.idle_s;
         r.decode_wait_seconds = st.decode_wait_s;
         r.last_frame = std::move(st.last_frame);
         r.fpga = st.fpga;
@@ -546,8 +635,9 @@ FleetReport FleetRunner::run() {
         r.sample_rate = r.wall_seconds > 0.0
                             ? static_cast<double>(r.samples) / r.wall_seconds
                             : 0.0;
+        r.cpu_task_retries = st.own.cpu ? st.own.cpu->task_retries() : 0;
         for (const auto& d : decoders)
-            if (d.cpu[i]) r.cpu_task_retries += d.cpu[i]->task_retries();
+            if (d[i].cpu) r.cpu_task_retries += d[i].cpu->task_retries();
         if (cfg.faults != nullptr) r.faults = cfg.faults->counts();
         sr.frame_latency = st.shard.latency.summarize();
 

@@ -1,39 +1,42 @@
-// fleet.hpp — multi-stream fleet orchestrator over a shared decode pool.
+// fleet.hpp — the streaming engine: N instrument streams over one decode
+// pool.
 //
 // A production deployment runs many instruments against one processing
 // host. FleetRunner models that: N independent streams — each with its own
 // layout, configuration, seed, fault plan, and record source (live period
 // template or frame-store replay) — ingest concurrently through per-stream
-// SPSC rings, and every closed frame travels through ONE bounded lock-free
-// MPMC dispatch queue (pipeline/mpmc_queue.hpp) to a shared pool of M
-// decode workers. Per-stream ordered-emission turnstiles
-// (pipeline/turnstile.hpp) restore frame order within each stream, so each
-// stream's output is bit-identical to the same configuration run solo
-// through HybridPipeline — the fleet-parity digest matrix in
+// SPSC rings (pipeline/stream_link.hpp). With FleetConfig::decode_workers
+// = 0 each stream's consumer decodes its own frames inline; with M >= 1
+// every closed frame travels through ONE bounded lock-free MPMC dispatch
+// queue (pipeline/mpmc_queue.hpp) to a shared pool of M decode workers,
+// and per-stream ordered-emission turnstiles (pipeline/turnstile.hpp)
+// restore frame order within each stream. HybridPipeline is this engine
+// run with one stream, so a stream's output is bit-identical whether it
+// runs solo or in a fleet — the fleet-parity digest matrix in
 // tests/test_fleet.cpp pins exactly that, across mixed CPU/FPGA backends,
 // mixed live/replay sources, and worker counts.
 //
 // Identity comes from structure, not luck:
-//   * the ingest protocol bodies (produce_stream / consume_stream in
-//     pipeline/stream_link.hpp) are the very templates HybridPipeline runs,
-//     so transport semantics — batching, pacing, ring-full policies, fault
-//     event order — are shared code, not a reimplementation;
+//   * there is one transport and one decode-and-emit step: pool workers and
+//     inline consumers run the same code;
 //   * frames are dispatched in frame order per stream and the MPMC queue is
 //     FIFO, so the lowest undecoded frame index of a stream is always held
 //     by some worker — ordered emission never deadlocks;
-//   * decode is a pure function of the closed frame (established for both
-//     backends by the overlap-decode digest tests), so which worker decodes
+//   * decode is a pure function of the closed frame (pinned for both
+//     backends by the inline-vs-pool digest tests), so which thread decodes
 //     a frame cannot change its bits.
 //
 // Failure isolation: a fault plan on stream k degrades (or, on a terminal
 // error, fails) stream k alone; other streams' digests and counters are
-// untouched. Telemetry is sharded per stream (cache-line-padded shards, no
-// cross-stream false sharing) and aggregated into the FleetReport, whose
-// JSON rendering (fleet_report_json) carries per-stream and aggregate p99
-// frame latency — the E16 bench protocol's scaling evidence.
+// untouched. Per-stream frame latency is sharded (cache-line-padded
+// shards, no cross-stream false sharing) and aggregated into the
+// FleetReport, whose JSON rendering (fleet_report_json) carries per-stream
+// and aggregate p99 frame latency — the E16 bench protocol's scaling
+// evidence. The registry's hybrid.* instruments hold sums across streams.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -43,11 +46,10 @@
 
 namespace htims::pipeline {
 
-/// One instrument stream of a fleet. `config` is a full HybridConfig; the
-/// fleet honours everything the solo orchestrator does except the decode-
-/// overlap knobs (`overlap_decode`, `decode_workers`) — decode is always
-/// overlapped through the shared pool, with `decode_buffers` still bounding
-/// this stream's frames in flight.
+/// One instrument stream of a fleet. `config` is a full HybridConfig
+/// except `decode_workers`, which must stay 0: the pool size belongs to
+/// FleetConfig. `decode_buffers` bounds this stream's frames in flight
+/// when the fleet has decode workers.
 struct FleetStream {
     prs::OversampledPrs sequence;  ///< this stream's PRS (seed included)
     FrameLayout layout;
@@ -62,7 +64,9 @@ struct FleetStream {
 
 /// Fleet-wide knobs.
 struct FleetConfig {
-    std::size_t decode_workers = 2;  ///< shared decode pool size (>= 1)
+    /// Shared decode pool size. 0 decodes every frame inline on its
+    /// stream's consumer: no queue, no workers, no spare buffers.
+    std::size_t decode_workers = 2;
     /// Dispatch queue depth in frames; 0 sizes it so a queue-full condition
     /// is impossible (the per-stream buffer pools bound the in-flight total).
     /// Smaller values exercise dispatch backpressure: a stream whose frames
@@ -95,12 +99,21 @@ struct FleetReport {
 /// throughput, degradation counters, and p50/p95/p99 frame latency.
 std::string fleet_report_json(const FleetReport& report);
 
-/// The fleet orchestrator. Owns every thread for the duration of run():
-/// one producer + one consumer per stream, plus the shared decode pool.
+/// The one config check for solo runs and fleet streams: throws ConfigError,
+/// its message starting with `who`, unless `stream` can run with
+/// `decode_workers` pool workers. `stream.config.decode_workers` is not
+/// read; each caller has its own rule for it.
+void validate_stream(const FleetStream& stream, std::size_t decode_workers,
+                     const std::string& who);
+
+/// The streaming engine. Owns every thread for the duration of run(): one
+/// producer per stream, a consumer thread per stream but the last (whose
+/// consumer runs on the calling thread), plus the shared decode pool.
 class FleetRunner {
 public:
     /// Validates every stream's configuration eagerly (ConfigError on a bad
-    /// one, naming the stream).
+    /// one, naming the stream) and builds each live stream's template
+    /// source once, from its moved-in period samples.
     explicit FleetRunner(std::vector<FleetStream> streams,
                          const FleetConfig& config = {});
 
@@ -112,7 +125,8 @@ public:
     FleetReport run();
 
 private:
-    std::vector<FleetStream> streams_;
+    std::vector<FleetStream> streams_;  ///< every `source` set after construction
+    std::vector<std::unique_ptr<PeriodTemplateSource>> templates_;
     FleetConfig config_;
 };
 

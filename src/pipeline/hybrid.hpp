@@ -1,4 +1,4 @@
-// hybrid.hpp — the hybrid CPU↔processing-element orchestrator.
+// hybrid.hpp — the hybrid CPU↔processing-element pipeline.
 //
 // Models the paper's Cray XD1 arrangement: a software producer streams raw
 // detector records over a bounded link (the SPSC ring standing in for the
@@ -8,6 +8,10 @@
 // streaming throughput, producer backpressure (link/processing too slow),
 // consumer idle time (source too slow), and whether the pipeline sustains
 // the instrument's native data rate.
+//
+// HybridPipeline is the streaming engine (FleetRunner, pipeline/fleet.hpp)
+// run with one stream; this header holds the stream's configuration, its
+// record sources, and its report, which fleet streams share.
 //
 // Degraded-mode operation: a real instrument run cannot abort mid-gradient
 // because the link briefly outran the decoder. The ring-full policy decides
@@ -19,15 +23,14 @@
 // drop is counted (hybrid.records_dropped, hybrid.frames_degraded) and
 // surfaced in the HybridReport next to the injector's own counts.
 //
-// Overlapped decode (overlap_decode): by default the consumer deconvolves
-// each closed frame inline, so ring pops pause for the decode and the
-// producer stalls exactly when the paper's architecture says it shouldn't.
-// With overlap on, the consumer hands each closed frame to a pool of
-// decode workers (decode_workers, default 1) and immediately resumes
-// popping into a recycled buffer — capture and deconvolution overlap as on
-// the real XD1. Workers decode concurrently but emit through a
-// sequence-ordered turnstile, so results still complete in frame order,
-// bit-identical to the synchronous path.
+// Decode workers (decode_workers): with 0, the default, the consumer
+// deconvolves each closed frame inline, so ring pops pause for the decode
+// and the producer stalls exactly when the paper's architecture says it
+// shouldn't. With M >= 1 the consumer hands each closed frame to M decode
+// workers and immediately resumes popping into a recycled buffer — capture
+// and deconvolution overlap as on the real XD1. Workers decode
+// concurrently but emit through a sequence-ordered turnstile, so results
+// still complete in frame order, bit-identical to inline decode.
 //
 // Batch transport (batch_records): the producer stages up to a frame's
 // worth of consecutive records and publishes them with one ring operation,
@@ -151,21 +154,23 @@ struct HybridConfig {
     int cpu_max_retries = 4;        ///< retry budget for transient CPU faults
     double cpu_retry_backoff_s = 50e-6;  ///< initial retry backoff (doubles)
 
-    bool overlap_decode = false;    ///< decode frame k on a worker thread
-                                    ///< while frame k+1 streams in
-    std::size_t decode_buffers = 2; ///< frames in flight with overlap on
-                                    ///< (one accumulating + the rest queued
-                                    ///< or decoding); must be >= 2 and is
-                                    ///< raised to decode_workers + 1 so
-                                    ///< every worker can hold a frame
-    std::size_t decode_workers = 1; ///< decode worker threads with overlap
-                                    ///< on; results are reassembled in
-                                    ///< sequence order whatever the count
+    std::size_t decode_buffers = 2; ///< frames in flight with decode
+                                    ///< workers (one accumulating + the rest
+                                    ///< queued or decoding); must be >= 2
+                                    ///< then, and a solo run raises it to at
+                                    ///< least decode_workers + 1 so every
+                                    ///< worker can hold a frame
+    std::size_t decode_workers = 0; ///< decode worker threads (0 = decode
+                                    ///< inline on the consumer); results are
+                                    ///< emitted in frame order whatever the
+                                    ///< count. Solo runs only: a fleet sets
+                                    ///< its pool size in FleetConfig
 
     /// Optional per-frame sink, called once per decoded frame with its
-    /// index. Runs on a decode worker in overlap mode and on the consumer
-    /// otherwise; the call sequence is frame order in both (multi-worker
-    /// emission is serialized through the order turnstile).
+    /// index. Runs on whichever thread decoded the frame (a decode worker,
+    /// or the consumer when decode is inline); the call sequence is frame
+    /// order either way (emission is serialized through the order
+    /// turnstile).
     std::function<void(std::size_t, const Frame&)> frame_sink;
 
     /// Optional streaming analysis stage, invoked from the same ordered
@@ -185,8 +190,9 @@ struct HybridReport {
     double wall_seconds = 0.0;
     double producer_stall_seconds = 0.0;  ///< time blocked on a full ring
     double consumer_idle_seconds = 0.0;   ///< time starved on an empty ring
-    double decode_wait_seconds = 0.0;     ///< overlap mode: consumer time
-                                          ///< blocked on a free decode buffer
+    double decode_wait_seconds = 0.0;     ///< with decode workers: consumer
+                                          ///< time blocked on a free decode
+                                          ///< buffer or a full dispatch queue
     double sample_rate = 0.0;             ///< achieved samples/second
     FpgaCycleReport fpga{};               ///< last frame (FPGA backend only)
     Frame last_frame;                     ///< last deconvolved frame
@@ -209,7 +215,8 @@ struct HybridReport {
     }
 };
 
-/// The orchestrator. Owns both threads for the duration of run().
+/// One stream through the streaming engine: run() hands it to a
+/// FleetRunner with FleetConfig{decode_workers} and returns its report.
 class HybridPipeline {
 public:
     /// `period_samples` is one period of digitized detector output in frame
@@ -226,7 +233,8 @@ public:
 
     const FrameLayout& layout() const { return layout_; }
 
-    /// Execute the streaming run; blocking.
+    /// Execute the streaming run; blocking. The report carries the
+    /// telemetry registry's snapshot at run end.
     HybridReport run();
 
 private:

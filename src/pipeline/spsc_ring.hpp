@@ -47,9 +47,9 @@ namespace htims::pipeline {
 /// Ownership and shutdown rule: the ring does not own either thread. The
 /// scope that created producer and consumer must join *both* before the ring
 /// is destroyed — destruction is not synchronized and a late try_push/try_pop
-/// is a use-after-free. (HybridPipeline::run() satisfies this by joining its
-/// producer before the ring leaves scope; the consumer is run()'s own
-/// thread.) The TSan gate's shutdown stress test pins this ordering down.
+/// is a use-after-free. (FleetRunner::run() satisfies this by joining every
+/// stream's producer and consumer before its rings leave scope.) The TSan
+/// gate's shutdown stress test pins this ordering down.
 template <typename T, typename Atomics = common::StdAtomics>
 class SpscRing {
 public:

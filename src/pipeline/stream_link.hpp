@@ -1,36 +1,28 @@
-// stream_link.hpp — the per-stream ingest protocol shared by the hybrid
-// orchestrator and the fleet runner.
+// stream_link.hpp — the per-stream ingest protocol of the streaming engine.
 //
 // One instrument stream is: a producer thread replaying a RecordSource into
 // a bounded SPSC ring (batch-staged, line-rate paced, fault-injected, with
 // the ring-full policy machinery), and a consumer loop that drains the ring
 // in batches, closes frames by watching the sequence tags, and accounts
-// drops/degradation. HybridPipeline::run() drives exactly one of these;
-// FleetRunner drives N of them over a shared decode pool. The protocol
-// bodies live here as templates so both orchestrators run byte-identical
-// transport logic — the fleet-parity digest matrix in tests/test_fleet.cpp
-// pins that a stream behaves bit-identically whether it runs solo or in a
-// fleet.
+// drops/degradation. FleetRunner (pipeline/fleet.cpp) drives one of these
+// per stream; HybridPipeline is a one-stream fleet, so a stream runs the
+// same transport code whether it runs solo or beside others — the
+// fleet-parity digest matrix in tests/test_fleet.cpp pins that.
 //
-// Telemetry and report accounting stay at the call site: the templates take
-// small hook bundles (aggregate-initialized structs of callables, fully
-// inlined) so the hybrid path keeps its global registry counters and the
-// fleet path its per-stream sharded counters without either paying for the
-// other's bookkeeping.
+// Accounting: each body returns (producer) or fills in place (consumer) its
+// stream's figures for the run report, and publishes the same events to the
+// registry's hybrid.* instruments — per stall, idle or drop event and per
+// popped batch, never per record — so the registry holds sums across every
+// stream of a run.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <mutex>
-#include <optional>
 #include <span>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -38,6 +30,7 @@
 #include "fault/fault.hpp"
 #include "pipeline/hybrid.hpp"
 #include "pipeline/spsc_ring.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace htims::pipeline {
 
@@ -66,37 +59,17 @@ struct LinkParams {
     fault::FaultInjector* faults = nullptr;
 };
 
-/// Producer-side accounting hooks; both callables must be cheap and
-/// thread-confined to the producer thread.
-template <typename OnStall, typename OnJitter>
-struct ProducerHooks {
-    OnStall stall;    ///< stall(seconds): blocked on a full ring once
-    OnJitter jitter;  ///< jitter(): one injected link-jitter event
-};
-template <typename OnStall, typename OnJitter>
-ProducerHooks(OnStall, OnJitter) -> ProducerHooks<OnStall, OnJitter>;
-
-/// Consumer-side accounting hooks; thread-confined to the consumer.
-template <typename OnIdle, typename OnPopped, typename OnRecord,
-          typename OnDropped, typename OnDegraded>
-struct ConsumerHooks {
-    OnIdle idle;              ///< idle(seconds): starved on an empty ring
-    OnPopped popped;          ///< popped(got): one pop_batch round trip
-    OnRecord record;          ///< record(): one record accumulated
-    OnDropped dropped;        ///< dropped(n): n records lost on the link
-    OnDegraded frame_degraded;///< frame_degraded(): a frame closed short
-};
-template <typename OnIdle, typename OnPopped, typename OnRecord,
-          typename OnDropped, typename OnDegraded>
-ConsumerHooks(OnIdle, OnPopped, OnRecord, OnDropped, OnDegraded)
-    -> ConsumerHooks<OnIdle, OnPopped, OnRecord, OnDropped, OnDegraded>;
-
-/// What the consumer loop counted; `frames_closed` equals params.frames on
-/// a complete run (the orchestrators' postcondition).
+/// What the consumer loop counted, filled in place so a caller unwinding
+/// from an exception mid-consume still sees how far the stream got.
+/// `frames_closed` equals params.frames on a complete run (the engine's
+/// postcondition); `stream_done` tells whether the end sentinel was seen,
+/// i.e. whether the link still needs draining for the producer to finish.
 struct ConsumeTotals {
+    double idle_s = 0.0;  ///< time starved on an empty ring
     std::uint64_t records_dropped = 0;
     std::uint64_t frames_degraded = 0;
     std::uint64_t frames_closed = 0;
+    bool stream_done = false;
 };
 
 /// The producer body: stream every record of `source` into `ring`, batch-
@@ -104,10 +77,21 @@ struct ConsumeTotals {
 /// policy semantics of the per-record transport, then deliver the end
 /// sentinel (always, whatever the policy). Runs on the producer thread;
 /// `drop_credits` is the kDropOldest credit channel to the consumer.
-template <typename Hooks>
-void produce_stream(SpscRing<Block>& ring, RecordSource& source,
-                    const LinkParams& p,
-                    std::atomic<std::uint64_t>& drop_credits, Hooks hooks) {
+/// Returns the time spent blocked on a full ring.
+inline double produce_stream(SpscRing<Block>& ring, RecordSource& source,
+                             const LinkParams& p,
+                             std::atomic<std::uint64_t>& drop_credits) {
+    auto& tel = telemetry::Registry::global();
+    static auto& c_stalls = tel.counter("hybrid.producer_stalls");
+    static auto& c_jitter = tel.counter("hybrid.link_jitter_events");
+    static auto& h_stall = tel.histogram("hybrid.producer_stall_ns");
+    double stalled_total = 0.0;
+    const auto stalled = [&](double seconds) {
+        stalled_total += seconds;
+        c_stalls.increment();
+        h_stall.observe(static_cast<std::uint64_t>(seconds * 1e9));
+    };
+
     // Blocking push with stall accounting; returns false if the bounded
     // wait expired (kBlock with a timeout).
     const auto push_blocking = [&](Block block) {
@@ -115,13 +99,13 @@ void produce_stream(SpscRing<Block>& ring, RecordSource& source,
         const bool bounded = p.ring_timeout_s > 0.0 && !block.end;
         while (!ring.try_push(Block{block})) {
             if (bounded && stall.seconds() > p.ring_timeout_s) {
-                hooks.stall(stall.seconds());
+                stalled(stall.seconds());
                 return false;
             }
             std::this_thread::yield();
         }
-        const double stalled = stall.seconds();
-        if (stalled > 0.0) hooks.stall(stalled);
+        const double waited = stall.seconds();
+        if (waited > 0.0) stalled(waited);
         return true;
     };
 
@@ -210,7 +194,7 @@ void produce_stream(SpscRing<Block>& ring, RecordSource& source,
                                               fault::Site::kLinkJitter,
                                               jitter.event, 8));
                 std::this_thread::sleep_for(std::chrono::microseconds(us));
-                hooks.jitter();
+                c_jitter.increment();
             }
             const auto row = source.record(seq);
             HTIMS_DCHECK(row.size() == p.record_len,
@@ -257,6 +241,7 @@ void produce_stream(SpscRing<Block>& ring, RecordSource& source,
     flush_stage();
     // Stream-end sentinel: always delivered, whatever the policy.
     push_blocking(Block{nullptr, 0, p.records_total, true});
+    return stalled_total;
 }
 
 /// The consumer body: drain the ring in batches until the end sentinel,
@@ -264,16 +249,22 @@ void produce_stream(SpscRing<Block>& ring, RecordSource& source,
 /// `close_frame(index, more_frames)`. Frames are closed by watching the
 /// sequence tags, so frames whose trailing records were dropped still close
 /// (as degraded frames); kDropOldest credits from the producer discard the
-/// oldest queued record. `stream_done` is an out-flag (set when the
-/// sentinel is seen) rather than part of the totals so a caller unwinding
-/// from an exception mid-consume can still tell whether the link needs
-/// draining for the producer to finish.
-template <typename Accumulate, typename CloseFrame, typename Hooks>
-ConsumeTotals consume_stream(SpscRing<Block>& ring, const LinkParams& p,
-                             std::atomic<std::uint64_t>& drop_credits,
-                             bool& stream_done, Accumulate&& accumulate,
-                             CloseFrame&& close_frame, Hooks hooks) {
-    ConsumeTotals totals;
+/// oldest queued record.
+template <typename Accumulate, typename CloseFrame>
+void consume_stream(SpscRing<Block>& ring, const LinkParams& p,
+                    std::atomic<std::uint64_t>& drop_credits,
+                    ConsumeTotals& totals, Accumulate&& accumulate,
+                    CloseFrame&& close_frame) {
+    auto& tel = telemetry::Registry::global();
+    static auto& c_records = tel.counter("hybrid.records");
+    static auto& c_idles = tel.counter("hybrid.consumer_idles");
+    static auto& c_dropped = tel.counter("hybrid.records_dropped");
+    static auto& c_degraded = tel.counter("hybrid.frames_degraded");
+    static auto& g_ring = tel.gauge("hybrid.ring_occupancy");
+    static auto& h_ring = tel.histogram("hybrid.ring_occupancy");
+    static auto& h_idle = tel.histogram("hybrid.consumer_idle_ns");
+    static auto& h_batch = tel.histogram("hybrid.batch_size");
+    const bool tel_on = telemetry::kCompiledIn && tel.enabled();
     std::uint64_t next_seq = 0;  // next record index expected
 
     // Per-frame degradation flags (a frame is degraded when at least one of
@@ -282,7 +273,7 @@ ConsumeTotals consume_stream(SpscRing<Block>& ring, const LinkParams& p,
     const auto mark_dropped_range = [&](std::uint64_t first, std::uint64_t last) {
         // Records in [first, last) were lost; mark their frames.
         totals.records_dropped += last - first;
-        hooks.dropped(last - first);
+        c_dropped.add(static_cast<std::int64_t>(last - first));
         for (std::uint64_t f = first / p.records_per_frame;
              f <= (last - 1) / p.records_per_frame; ++f)
             degraded[static_cast<std::size_t>(f)] = 1;
@@ -293,7 +284,7 @@ ConsumeTotals consume_stream(SpscRing<Block>& ring, const LinkParams& p,
                         totals.frames_closed < p.frames - 1);
             if (degraded[static_cast<std::size_t>(totals.frames_closed)] != 0) {
                 ++totals.frames_degraded;
-                hooks.frame_degraded();
+                c_degraded.increment();
             }
             ++totals.frames_closed;
         }
@@ -302,23 +293,32 @@ ConsumeTotals consume_stream(SpscRing<Block>& ring, const LinkParams& p,
     // Batch pop: drain up to consume_cap blocks per protocol round trip;
     // the per-block bookkeeping below is unchanged from per-record.
     std::vector<Block> popped(p.consume_cap);
-    bool saw_end = false;
-    while (!saw_end) {
+    while (!totals.stream_done) {
         std::size_t got = ring.pop_batch(std::span(popped));
         if (got == 0) {
             WallTimer idle;
             while ((got = ring.pop_batch(std::span(popped))) == 0)
                 std::this_thread::yield();
-            hooks.idle(idle.seconds());
+            const double idled = idle.seconds();
+            totals.idle_s += idled;
+            c_idles.increment();
+            h_idle.observe(static_cast<std::uint64_t>(idled * 1e9));
         }
-        hooks.popped(got);
+        if (tel_on) {
+            // Ring occupancy as the consumer pops: the reading the paper's
+            // backpressure argument cares about.
+            const auto depth = static_cast<std::int64_t>(ring.size());
+            g_ring.set(depth);
+            h_ring.observe(static_cast<std::uint64_t>(depth));
+            h_batch.observe(got);
+        }
+        std::int64_t accumulated = 0;
         for (std::size_t b = 0; b < got; ++b) {
             const Block& block = popped[b];
             if (block.end) {
                 // The sentinel is the stream's last block by construction;
                 // nothing follows it in this batch.
-                stream_done = true;
-                saw_end = true;
+                totals.stream_done = true;
                 break;
             }
             if (block.seq > next_seq) mark_dropped_range(next_seq, block.seq);
@@ -340,91 +340,13 @@ ConsumeTotals consume_stream(SpscRing<Block>& ring, const LinkParams& p,
                 mark_dropped_range(block.seq, block.seq + 1);
                 continue;
             }
-            hooks.record();
+            ++accumulated;
             accumulate(block);
         }
+        c_records.add(accumulated);
     }
     if (next_seq < p.records_total) mark_dropped_range(next_seq, p.records_total);
     close_through(p.frames);
-    return totals;
 }
-
-/// Handoff between a stream's consumer and the decode side: a pool of
-/// reusable buffers ("free") and a FIFO of closed frames awaiting decode
-/// ("work"). The hybrid orchestrator uses both halves with its private
-/// worker pool; the fleet runner uses the free half per stream (closed
-/// frames travel through the shared MPMC dispatch queue instead) — the
-/// free list is what bounds each stream's frames in flight. close()
-/// releases workers once the stream ends; abort() releases a consumer
-/// blocked on pop_free() when a worker dies mid-run (no buffer would ever
-/// return).
-template <typename Job>
-class DecodeChannel {
-public:
-    void push_free(Job job) {
-        {
-            std::lock_guard lock(mutex_);
-            free_.push_back(std::move(job));
-        }
-        cv_free_.notify_one();
-    }
-
-    /// Blocks until a spent buffer comes back; nullopt after abort().
-    std::optional<Job> pop_free() {
-        std::unique_lock lock(mutex_);
-        cv_free_.wait(lock, [&] { return !free_.empty() || aborted_; });
-        if (free_.empty()) return std::nullopt;
-        Job job = std::move(free_.front());
-        free_.pop_front();
-        return job;
-    }
-
-    /// Queue a closed frame; returns the queue depth just after the push.
-    std::size_t push_work(Job job) {
-        std::size_t depth = 0;
-        {
-            std::lock_guard lock(mutex_);
-            work_.push_back(std::move(job));
-            depth = work_.size();
-        }
-        cv_work_.notify_one();
-        return depth;
-    }
-
-    /// Blocks for the next closed frame; nullopt once closed and drained.
-    std::optional<Job> pop_work() {
-        std::unique_lock lock(mutex_);
-        cv_work_.wait(lock, [&] { return !work_.empty() || closed_; });
-        if (work_.empty()) return std::nullopt;
-        Job job = std::move(work_.front());
-        work_.pop_front();
-        return job;
-    }
-
-    void close() {
-        {
-            std::lock_guard lock(mutex_);
-            closed_ = true;
-        }
-        cv_work_.notify_all();
-    }
-
-    void abort() {
-        {
-            std::lock_guard lock(mutex_);
-            aborted_ = true;
-        }
-        cv_free_.notify_all();
-    }
-
-private:
-    std::mutex mutex_;
-    std::condition_variable cv_free_;
-    std::condition_variable cv_work_;
-    std::deque<Job> free_;
-    std::deque<Job> work_;
-    bool closed_ = false;
-    bool aborted_ = false;
-};
 
 }  // namespace htims::pipeline

@@ -253,8 +253,7 @@ std::uint64_t hybrid_digest(bool overlap, std::size_t workers) {
     cfg.frames = kHdFrames;
     cfg.averages = 2;
     cfg.cpu_threads = 1;
-    cfg.overlap_decode = overlap;
-    cfg.decode_workers = workers;
+    cfg.decode_workers = overlap ? workers : 0;
     cfg.analysis = f.stage.get();
     pipeline::HybridPipeline pipe(hd_sequence(), hd_layout(), hd_period(), cfg);
     (void)pipe.run();

@@ -485,11 +485,15 @@ TEST(FaultedHybrid, DropOldestTimeoutDropsEachDisplacedRecordExactlyOnce) {
     // Every timed-out push is a real stall; the histogram must see them
     // too (the timeout exit used to skip hybrid.producer_stall_ns).
     EXPECT_GE(report.producer_stall_seconds, 14 * 0.02);
+    bool stall_histogram = false;
     for (const auto& h : report.telemetry.histograms) {
         if (h.name == "hybrid.producer_stall_ns") {
+            stall_histogram = true;
             EXPECT_GE(h.summary.count, 14u);
         }
     }
+    EXPECT_EQ(stall_histogram,
+              telemetry::kCompiledIn && telemetry::Registry::global().enabled());
 }
 
 // --------------------------------------------- overlap under fault grid ----
@@ -508,8 +512,7 @@ FaultedDigestRun faulted_run(BackendKind backend, RingFullPolicy policy,
     fault::FaultInjector faults(fault::FaultPlan::parse(plan));
     auto cfg = drill_config(backend, &faults, policy, 1024);
     cfg.cpu_retry_backoff_s = 0.0;
-    cfg.overlap_decode = overlap;
-    cfg.decode_workers = workers;
+    cfg.decode_workers = overlap ? workers : 0;
     FaultedDigestRun run;
     run.digests.assign(cfg.frames, 0);
     cfg.frame_sink = [&run](std::size_t index, const Frame& frame) {
@@ -603,8 +606,7 @@ TEST(FaultedHybridOverlap, PersistentCpuFaultPropagatesFromWorker) {
         auto cfg = drill_config(BackendKind::kCpu, &faults,
                                 RingFullPolicy::kBlock, 256);
         cfg.cpu_retry_backoff_s = 0.0;
-        cfg.overlap_decode = c.overlap;
-        cfg.decode_workers = c.workers;
+        cfg.decode_workers = c.overlap ? c.workers : 0;
         EXPECT_THROW(HybridPipeline(seq, layout, period, cfg).run(), Error)
             << "overlap=" << c.overlap << " workers=" << c.workers;
     }

@@ -3,9 +3,10 @@
 // The tentpole claim, pinned end to end: every stream of an N-stream fleet
 // produces frames bit-identical to the same configuration run solo through
 // HybridPipeline — across mixed CPU/FPGA backends, mixed live/replay record
-// sources, shared-pool worker counts {1, 2, 4}, dispatch backpressure, and
-// per-stream fault plans (a faulted stream degrades exactly as its solo
-// twin; its neighbours' digests and counters are untouched).
+// sources, shared-pool worker counts {1, 2, 4} and inline decode (0),
+// dispatch backpressure, and per-stream fault plans (a faulted stream
+// degrades exactly as its solo twin; its neighbours' digests and counters
+// are untouched).
 //
 // Satellite regressions ride along: two ordered-emission turnstiles driven
 // by one shared worker pool never cross-release frames, and the bounded
@@ -131,8 +132,8 @@ private:
     std::vector<std::unique_ptr<store::FrameStoreReader>> readers_;
 };
 
-/// Solo reference: the same spec run through HybridPipeline's synchronous
-/// path, one digest per frame.
+/// Solo reference: the same spec run through HybridPipeline with inline
+/// decode, one digest per frame.
 std::vector<std::uint64_t> solo_digests(std::size_t si,
                                         const ReplayFixture& replays) {
     std::vector<std::uint64_t> digests(kFleetFrames, 0);
@@ -201,8 +202,8 @@ TEST(FleetParity, DigestMatrixMatchesSoloRuns) {
 
     for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                           std::size_t{8}}) {
-        for (std::size_t workers :
-             {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+        for (std::size_t workers : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{2}, std::size_t{4}}) {
             const auto run = run_fleet(n, workers, replays);
             ASSERT_EQ(run.report.streams.size(), n)
                 << "n=" << n << " workers=" << workers;
@@ -244,7 +245,11 @@ TEST(FleetParity, FaultedStreamDegradesAloneAndDeterministically) {
     const auto faulted_config = [&](std::vector<std::uint64_t>* digests,
                                     fault::FaultInjector* injector) {
         auto cfg = fleet_stream_config(1);  // CPU backend
-        cfg.ring_records = 8;
+        // Deeper than the whole 186-record stream: the ring never fills, so
+        // the drops are exactly the plan's forced overruns whatever the
+        // consumer's timing (a shallow ring also drops wherever the
+        // consumer lags, which no two runs need to share).
+        cfg.ring_records = 256;
         cfg.ring_policy = RingFullPolicy::kDropNewest;
         cfg.faults = injector;
         cfg.frame_sink = [digests](std::size_t index, const Frame& frame) {
@@ -317,12 +322,20 @@ TEST(FleetConfigCheck, BadStreamIsNamedInTheError) {
     }
 }
 
-TEST(FleetConfigCheck, ZeroWorkersRejected) {
-    std::vector<FleetStream> streams;
-    streams.push_back(FleetStream{fleet_sequence(), fleet_layout(),
-                                  fleet_stream_config(0), fleet_period(0),
-                                  nullptr});
-    EXPECT_THROW(FleetRunner(std::move(streams), FleetConfig{0}), ConfigError);
+TEST(FleetConfigCheck, StreamDecodeWorkersRejected) {
+    // FleetConfig{0} decodes inline; the pool size belongs to FleetConfig,
+    // so a stream that asks for its own decode workers is rejected.
+    const auto one_stream = [](std::size_t stream_workers) {
+        std::vector<FleetStream> streams;
+        streams.push_back(FleetStream{fleet_sequence(), fleet_layout(),
+                                      fleet_stream_config(0), fleet_period(0),
+                                      nullptr});
+        streams[0].config.decode_workers = stream_workers;
+        return streams;
+    };
+    EXPECT_NO_THROW(FleetRunner(one_stream(0), FleetConfig{0}));
+    EXPECT_THROW(FleetRunner(one_stream(1), FleetConfig{0}), ConfigError);
+    EXPECT_THROW(FleetRunner(one_stream(2), FleetConfig{2}), ConfigError);
 }
 
 TEST(FleetReportJson, CarriesAggregateAndPerStreamLatency) {

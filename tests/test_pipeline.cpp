@@ -656,9 +656,8 @@ DigestRun digest_run(BackendKind backend, bool overlap, std::size_t buffers = 2,
     cfg.frames = 4;
     cfg.averages = 2;
     cfg.cpu_threads = 2;
-    cfg.overlap_decode = overlap;
     cfg.decode_buffers = buffers;
-    cfg.decode_workers = workers;
+    cfg.decode_workers = overlap ? workers : 0;
     cfg.batch_records = batch;
     DigestRun run;
     run.digests.assign(cfg.frames, 0);
@@ -676,16 +675,13 @@ TEST(HybridOverlap, ConfigValidation) {
                        .drift_bin_width_s = 1e-4};
     std::vector<std::uint32_t> period(layout.cells(), 1);
     HybridConfig cfg;
-    cfg.overlap_decode = true;
+    cfg.decode_workers = 1;
     cfg.decode_buffers = 1;
     EXPECT_THROW(HybridPipeline(seq, layout, period, cfg), ConfigError);
-    // A sub-2 buffer count is inert while overlap stays off.
-    cfg.overlap_decode = false;
-    EXPECT_NO_THROW(HybridPipeline(seq, layout, period, cfg));
-    // Zero decode workers or a zero-record batch is never meaningful.
-    cfg = HybridConfig{};
+    // A sub-2 buffer count is inert while decode stays inline.
     cfg.decode_workers = 0;
-    EXPECT_THROW(HybridPipeline(seq, layout, period, cfg), ConfigError);
+    EXPECT_NO_THROW(HybridPipeline(seq, layout, period, cfg));
+    // A zero-record batch is never meaningful.
     cfg = HybridConfig{};
     cfg.batch_records = 0;
     EXPECT_THROW(HybridPipeline(seq, layout, period, cfg), ConfigError);
@@ -773,8 +769,7 @@ TEST(HybridOverlap, FrameSinkRunsInFrameOrder) {
         cfg.backend = BackendKind::kCpu;
         cfg.frames = 5;
         cfg.cpu_threads = 2;
-        cfg.overlap_decode = c.overlap;
-        cfg.decode_workers = c.workers;
+        cfg.decode_workers = c.overlap ? c.workers : 0;
         std::vector<std::size_t> order;
         cfg.frame_sink = [&order](std::size_t index, const Frame&) {
             order.push_back(index);

@@ -8,8 +8,8 @@
 // these tests exist to give TSan the traffic patterns worth watching:
 // capacity-boundary ring handoff (single-element and batch), grain-boundary
 // parallel_for writes, exporters snapshotting metrics mid-flight, and
-// orchestrator start/stop — synchronous, with one overlapped-decode worker,
-// and with several workers emitting through the ordered turnstile.
+// streaming-engine start/stop — inline decode, one decode worker, and
+// several workers emitting through the ordered turnstile.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -423,12 +423,12 @@ TEST(RaceHybrid, BackpressuredCpuRunsStartAndStopCleanly) {
     }
 }
 
-// Overlapped decode adds a third thread (the decode worker) and a buffer
-// handoff channel to the start/stop picture: producer → ring → consumer →
-// channel → worker, with frames recycled back through the free list. The
-// shallow ring keeps the producer backpressured while the channel cycles
-// buffers at frame rate, so TSan watches every edge of the handoff under
-// load, including worker join on shutdown.
+// A decode worker adds a third thread and a buffer handoff to the
+// start/stop picture: producer → ring → consumer → dispatch queue → worker,
+// with frames recycled back through the stream's free list. The shallow
+// ring keeps the producer backpressured while buffers cycle at frame rate,
+// so TSan watches every edge of the handoff under load, including worker
+// join on shutdown.
 TEST(RaceHybrid, OverlappedFpgaDecodeStartsAndStopsCleanly) {
     const htims::prs::OversampledPrs seq(5, 1, htims::prs::GateMode::kPulsed);
     const htims::pipeline::FrameLayout layout{
@@ -439,7 +439,7 @@ TEST(RaceHybrid, OverlappedFpgaDecodeStartsAndStopsCleanly) {
     cfg.frames = 3;
     cfg.averages = 2;
     cfg.ring_records = 2;
-    cfg.overlap_decode = true;
+    cfg.decode_workers = 1;
     for (int run = 0; run < 3; ++run) {
         htims::pipeline::HybridPipeline pipeline(seq, layout, period, cfg);
         const auto report = pipeline.run();
@@ -458,7 +458,7 @@ TEST(RaceHybrid, OverlappedCpuDecodeStartsAndStopsCleanly) {
     cfg.frames = 3;
     cfg.cpu_threads = 2;
     cfg.ring_records = 2;
-    cfg.overlap_decode = true;
+    cfg.decode_workers = 1;
     cfg.decode_buffers = 3;  // deeper free list: worker and consumer overlap
     for (int run = 0; run < 3; ++run) {
         htims::pipeline::HybridPipeline pipeline(seq, layout, period, cfg);
@@ -468,8 +468,8 @@ TEST(RaceHybrid, OverlappedCpuDecodeStartsAndStopsCleanly) {
 }
 
 // Multiple decode workers add the ordered-emission turnstile and per-worker
-// backend instances to the shutdown picture: consumer → work deque → N
-// workers → turnstile → sink, buffers recycling through the free deque.
+// backend instances to the shutdown picture: consumer → dispatch queue → N
+// workers → turnstile → sink, buffers recycling through the free list.
 // Start/stop churn across runs gives TSan the spawn/join edges; the shallow
 // ring plus a free list barely deeper than the worker count keeps every
 // handoff contended.
@@ -483,7 +483,6 @@ TEST(RaceHybrid, MultiWorkerFpgaDecodeChurnsCleanly) {
     cfg.frames = 4;
     cfg.averages = 2;
     cfg.ring_records = 2;
-    cfg.overlap_decode = true;
     for (std::size_t workers : {std::size_t{2}, std::size_t{3}}) {
         cfg.decode_workers = workers;
         for (int run = 0; run < 3; ++run) {
@@ -645,7 +644,6 @@ TEST(RaceHybrid, MultiWorkerCpuDecodeChurnsCleanly) {
     cfg.frames = 4;
     cfg.cpu_threads = 2;
     cfg.ring_records = 2;
-    cfg.overlap_decode = true;
     for (std::size_t workers : {std::size_t{2}, std::size_t{3}}) {
         cfg.decode_workers = workers;
         for (int run = 0; run < 3; ++run) {

@@ -90,8 +90,7 @@ pipeline::HybridConfig test_config(pipeline::BackendKind backend, bool overlap,
     hcfg.frames = 4;
     hcfg.averages = 2;
     hcfg.ring_records = 32;
-    hcfg.overlap_decode = overlap;
-    hcfg.decode_workers = workers;
+    hcfg.decode_workers = overlap ? workers : 0;
     hcfg.frame_sink = [digests](std::size_t, const Frame& f) {
         digests->push_back(pipeline::frame_digest(f));
     };
