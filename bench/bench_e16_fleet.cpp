@@ -18,19 +18,21 @@
 //          is the bar (a host that keeps up delivers ~4x).
 //
 // Per-stream and aggregate p50/p99 close-to-emission frame latency ride in
-// the fleet report; the largest paced point's full report is written to
-// BENCH_E16_fleet.json next to the telemetry scalars (BENCH_E16.json).
+// the fleet report; BENCH_E16.json carries the sweep's scalars plus the
+// largest paced point's full fleet report under `fleet.largest_paced.`.
 //
 //   --tiny   smoke configuration for scripts/check.sh (seconds, not minutes)
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/htims.hpp"
 #include "pipeline/fleet.hpp"
+
+#include "bench_report.hpp"
 
 using namespace htims;
 
@@ -75,9 +77,6 @@ public:
     std::uint64_t total_records() const override {
         return inner_.total_records();
     }
-    std::span<const std::uint32_t> record(std::uint64_t seq) override {
-        return inner_.record(seq);
-    }
     std::span<const std::uint32_t> record_block(
         std::uint64_t seq, std::size_t max_records) override {
         return inner_.record_block(seq, max_records);
@@ -99,8 +98,7 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i)
         if (std::strcmp(argv[i], "--tiny") == 0) shape = tiny_shape();
 
-    auto& tel = telemetry::Registry::global();
-    tel.reset();
+    telemetry::Registry::global().reset();
     telemetry::RunMeta meta;
     meta.bench = "bench_e16_fleet";
     meta.labels.emplace_back("experiment", "E16");
@@ -209,15 +207,15 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(16.0 * frame_service_s * 1e9);
     double paced1_rate = 0.0;
     double agg4_x = 0.0;
-    std::string last_report_json;
+    pipeline::FleetReport largest_paced;
     for (const std::size_t n : shape.sweep) {
-        const auto report = run_fleet(n, frame_period_ns);
+        auto report = run_fleet(n, frame_period_ns);
         if (n == 1) paced1_rate = report.sample_rate;
         const double speedup =
             paced1_rate > 0.0 ? report.sample_rate / paced1_rate : 0.0;
         if (n == 4) agg4_x = speedup;
         add_row("paced", n, report, speedup);
-        last_report_json = pipeline::fleet_report_json(report);
+        largest_paced = std::move(report);
     }
 
     table.print(std::cout);
@@ -236,16 +234,8 @@ int main(int argc, char** argv) {
                               static_cast<double>(frame_period_ns));
     meta.scalars.emplace_back("fleet.workers",
                               static_cast<double>(shape.workers));
-
-    if (tel.enabled()) {
-        const auto snap = tel.snapshot();
-        telemetry::save_json_report("BENCH_E16.json", snap, meta);
-        std::cout << "telemetry run report written to BENCH_E16.json\n";
-        std::ofstream out("BENCH_E16_fleet.json");
-        out << last_report_json << "\n";
-        std::cout << "fleet report (largest paced point) written to "
-                     "BENCH_E16_fleet.json\n";
-    }
+    pipeline::append_fleet_scalars(meta, largest_paced, "fleet.largest_paced");
+    bench::write_report("BENCH_E16.json", meta);
 
     std::cout << "\nShape check: the paced sweep is the deployment claim —\n"
                  "each stream asks for 1/16 of the host, so delivered\n"

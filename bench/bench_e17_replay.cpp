@@ -13,6 +13,7 @@
 //   replay        a full hybrid-pipeline run fed by ReplaySource, compared
 //                 against the identical live run fed by the period template
 //                 (digests must match bit for bit; rate should too)
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -22,6 +23,8 @@
 #include "core/htims.hpp"
 #include "store/frame_store.hpp"
 #include "store/replay.hpp"
+
+#include "bench_report.hpp"
 
 using namespace htims;
 
@@ -45,8 +48,7 @@ int main() {
     const std::size_t frames = 8;
     const std::size_t averages = 4;
 
-    auto& tel = telemetry::Registry::global();
-    tel.reset();
+    telemetry::Registry::global().reset();
     telemetry::RunMeta meta;
     meta.bench = "bench_e17_replay";
     meta.labels.emplace_back("experiment", "E17");
@@ -152,21 +154,32 @@ int main() {
     const double replay_vs_live =
         live_rate > 0.0 ? replay_rate / live_rate : 0.0;
 
-    // Batch-transport ablation: the same unpaced replay with the staging
-    // batch forced to one record. ReplaySource::record_block hands the
-    // producer whole drift rows, so batch_x is the ingest gain the
-    // span-granular ring protocol buys when serving from the store.
-    double per_record_rate = 0.0;
-    {
-        pipeline::HybridConfig pcfg = hcfg;
-        pcfg.frame_sink = nullptr;
-        pcfg.batch_records = 1;
-        store::ReplaySource per_record(reader, store::ReplayConfig{0.0});
-        pipeline::HybridPipeline replay(seq, layout, per_record, pcfg);
-        per_record_rate = replay.run().sample_rate;
+    // Batch-transport ablation: the unpaced replay with the default staging
+    // batch against the batch forced to one record. ReplaySource::
+    // record_block hands the producer whole drift rows, so batch_x is the
+    // ingest gain the span-granular ring protocol buys when serving from
+    // the store. Both sides run without a frame sink, in kPairs pairs that
+    // alternate which side goes first; batch_x is the median pair ratio.
+    constexpr std::size_t kPairs = 15;
+    std::vector<double> rates[2];  // batched, per-record
+    std::vector<double> pair_x;
+    for (std::size_t pair = 0; pair < kPairs; ++pair) {
+        for (std::size_t k = 0; k < 2; ++k) {
+            const std::size_t side = (pair + k) % 2;
+            pipeline::HybridConfig pcfg = hcfg;
+            pcfg.frame_sink = nullptr;
+            if (side == 1) pcfg.batch_records = 1;
+            store::ReplaySource pair_source(reader, store::ReplayConfig{0.0});
+            pipeline::HybridPipeline replay(seq, layout, pair_source, pcfg);
+            rates[side].push_back(replay.run().sample_rate);
+        }
+        pair_x.push_back(rates[0].back() / rates[1].back());
     }
-    const double replay_batch_x =
-        per_record_rate > 0.0 ? replay_rate / per_record_rate : 0.0;
+    const double batched_rate = percentile(rates[0], 50.0);
+    const double per_record_rate = percentile(rates[1], 50.0);
+    const double replay_batch_x = percentile(pair_x, 50.0);
+    const auto [batch_x_min, batch_x_max] =
+        std::minmax_element(pair_x.begin(), pair_x.end());
 
     // Same run with the resident cache disabled (cap 0): frames convert on
     // first touch as the slot window slides — the cost profile of replaying
@@ -208,9 +221,12 @@ int main() {
               << format_double(live_rate / 1e6, 2) << " Msamples/s (x"
               << format_double(replay_vs_live, 2) << "), digests "
               << (digests_match ? "MATCH" : "MISMATCH") << "\n"
-              << "per-record replay (batch_records=1): "
-              << format_double(per_record_rate / 1e6, 2) << " Msamples/s (batch_x "
-              << format_double(replay_batch_x, 2) << ")\n"
+              << "batch ablation, medians of " << kPairs << " pairs: batched "
+              << format_double(batched_rate / 1e6, 2) << " vs per-record "
+              << "(batch_records=1) " << format_double(per_record_rate / 1e6, 2)
+              << " Msamples/s, batch_x " << format_double(replay_batch_x, 2)
+              << " [" << format_double(*batch_x_min, 2) << "-"
+              << format_double(*batch_x_max, 2) << "]\n"
               << "windowed replay (no resident cache): "
               << format_double(windowed_rate / 1e6, 2) << " Msamples/s\n"
               << "paced replay (asked x8.00): achieved x"
@@ -224,6 +240,8 @@ int main() {
     meta.scalars.emplace_back("replay.sample_rate", replay_rate);
     meta.scalars.emplace_back("replay.per_record_sample_rate", per_record_rate);
     meta.scalars.emplace_back("replay.batch_x", replay_batch_x);
+    meta.scalars.emplace_back("replay.batch_x_min", *batch_x_min);
+    meta.scalars.emplace_back("replay.batch_x_max", *batch_x_max);
     meta.scalars.emplace_back("replay.windowed_sample_rate", windowed_rate);
     meta.scalars.emplace_back("live.sample_rate", live_rate);
     meta.scalars.emplace_back("replay.vs_live_x", replay_vs_live);
@@ -232,11 +250,7 @@ int main() {
     meta.scalars.emplace_back("replay.paced_x_achieved", paced_x);
     (void)warm_bytes;
 
-    if (tel.enabled()) {
-        const auto snap = tel.snapshot();
-        telemetry::save_json_report("BENCH_E17.json", snap, meta);
-        std::cout << "telemetry run report written to BENCH_E17.json\n";
-    }
+    bench::write_report("BENCH_E17.json", meta);
     std::remove(kStorePath);
 
     std::cout << "\nShape check: warm_scan runs at memory bandwidth (GB/s,\n"

@@ -32,6 +32,8 @@
 #include "core/htims.hpp"
 #include "pipeline/fleet.hpp"
 
+#include "bench_report.hpp"
+
 using namespace htims;
 
 namespace {
@@ -106,8 +108,7 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i)
         if (std::strcmp(argv[i], "--tiny") == 0) shape = tiny_shape();
 
-    auto& tel = telemetry::Registry::global();
-    tel.reset();
+    telemetry::Registry::global().reset();
     telemetry::RunMeta meta;
     meta.bench = "bench_e19_hdsearch";
     meta.labels.emplace_back("experiment", "E19");
@@ -266,11 +267,7 @@ int main(int argc, char** argv) {
     }
     fleet_table.print(std::cout);
 
-    if (tel.enabled()) {
-        const auto snap = tel.snapshot();
-        telemetry::save_json_report("BENCH_E19.json", snap, meta);
-        std::cout << "telemetry run report written to BENCH_E19.json\n";
-    }
+    bench::write_report("BENCH_E19.json", meta);
 
     std::cout << "\nShape check: kernel throughput steps up tier by tier\n"
                  "(popcount is exact on every tier, so only speed varies).\n"

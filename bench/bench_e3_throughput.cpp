@@ -6,11 +6,15 @@
 // clock) against the CPU software backend (measured wall time), for
 // several sequence orders, against the instrument rate implied by the
 // frame layout.
+#include <algorithm>
 #include <cmath>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "core/htims.hpp"
+
+#include "bench_report.hpp"
 
 using namespace htims;
 
@@ -33,12 +37,6 @@ pipeline::Frame synthetic_raw(const prs::OversampledPrs& seq,
     return raw;
 }
 
-double find_scalar(const telemetry::RunMeta& meta, const std::string& key) {
-    for (const auto& [name, value] : meta.scalars)
-        if (name == key) return value;
-    return 0.0;
-}
-
 }  // namespace
 
 int main() {
@@ -49,8 +47,7 @@ int main() {
     // bench. HTIMS_TELEMETRY=0 in the environment disables instrumentation
     // (the report is then skipped), which is how the overhead of the
     // disabled path is measured against this bench's sample rates.
-    auto& tel = telemetry::Registry::global();
-    tel.reset();
+    telemetry::Registry::global().reset();
     telemetry::RunMeta meta;
     meta.bench = "bench_e3_throughput";
     meta.labels.emplace_back("experiment", "E3");
@@ -147,104 +144,85 @@ int main() {
     table.print(std::cout);
 
     // Hybrid streaming section: producer → SPSC ring → CPU backend, the
-    // paper's actual deployment shape. Runs the same case synchronously and
-    // with overlapped decode (frame k deconvolving on a worker while frame
-    // k+1 streams in); overlap_x is the end-to-end throughput gain of
-    // hiding the decode behind ingestion. The JSON report carries ring
-    // occupancy, stall/idle, and decode-overlap latency histograms.
+    // paper's actual deployment shape. Every case streams the same 128
+    // frames: inline decode, 1/2/4 decode workers (overlap_x = their rate
+    // over inline, the gain of decoding frame k on a worker while frame k+1
+    // streams in), and 1 worker with per-record transport (batch_x = the
+    // batched 1-worker rate over it). Each round runs every case once, in
+    // alternating order, and each ratio is taken within a round; the report
+    // carries each ratio's median and min-max over the rounds, plus ring
+    // occupancy, stall/idle, and decode latency histograms.
     {
         const prs::OversampledPrs seq(8, 2, prs::GateMode::kPulsed);
         pipeline::FrameLayout layout{
             .drift_bins = seq.length(),
             .mz_bins = mz_bins,
             .drift_bin_width_s = 15e-3 / static_cast<double>(seq.length())};
-        const pipeline::Frame raw = synthetic_raw(seq, layout);
-        pipeline::HybridConfig hcfg;
-        hcfg.backend = pipeline::BackendKind::kCpu;
-        hcfg.frames = 4;
-        hcfg.averages = 4;
-        hcfg.ring_records = 64;
-        const auto period = pipeline::to_period_samples(raw, 1);
-
-        const auto run_rate = [&](const pipeline::HybridConfig& cfg) {
-            pipeline::HybridPipeline hybrid(seq, layout, period, cfg);
-            return hybrid.run();
+        const auto period =
+            pipeline::to_period_samples(synthetic_raw(seq, layout), 1);
+        constexpr std::size_t kFrames = 128;
+        constexpr std::size_t kRounds = 9;
+        struct HybridCase {
+            const char* name;
+            std::size_t workers;
+            std::size_t batch_records;
         };
-
-        double sync_rate = 0.0, sync_rtf = 0.0;
-        {
-            const auto report = run_rate(hcfg);
-            sync_rate = report.sample_rate;
-            sync_rtf = report.realtime_factor(layout.sample_rate());
-            std::cout << "\nhybrid stream (order 8, CPU backend): "
-                      << format_double(report.sample_rate / 1e6, 2)
-                      << " Msamples/s, realtime_factor "
-                      << format_double(sync_rtf, 2) << ", stall "
-                      << format_double(report.producer_stall_seconds * 1e3, 2)
-                      << " ms, idle "
-                      << format_double(report.consumer_idle_seconds * 1e3, 2)
-                      << " ms\n";
-        }
-        meta.scalars.emplace_back("hybrid.sample_rate", sync_rate);
-        meta.scalars.emplace_back("hybrid.realtime_factor", sync_rtf);
-
-        // Overlapped decode, swept over worker counts: overlap_x is the
-        // canonical 1-worker figure; _w2/_w4 show what extra decode workers
-        // buy (spare cores required — on one hardware thread they can only
-        // timeslice).
-        for (const std::size_t workers :
-             {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-            hcfg.decode_workers = workers;
-            const auto report = run_rate(hcfg);
-            const double rate = report.sample_rate;
-            const double rtf = report.realtime_factor(layout.sample_rate());
-            const double overlap_x = sync_rate > 0.0 ? rate / sync_rate : 0.0;
-            std::cout << "hybrid stream, overlapped decode (w" << workers
-                      << "): " << format_double(rate / 1e6, 2)
-                      << " Msamples/s, realtime_factor "
-                      << format_double(rtf, 2) << ", overlap_x "
-                      << format_double(overlap_x, 2) << ", decode-wait "
-                      << format_double(report.decode_wait_seconds * 1e3, 2)
-                      << " ms\n";
-            if (workers == 1) {
-                meta.scalars.emplace_back("hybrid.overlap_sample_rate", rate);
-                meta.scalars.emplace_back("hybrid.overlap_realtime_factor",
-                                          rtf);
-                meta.scalars.emplace_back("hybrid.overlap_x", overlap_x);
-            } else {
-                meta.scalars.emplace_back(
-                    "hybrid.overlap_x_w" + std::to_string(workers), overlap_x);
+        const std::vector<HybridCase> cases{
+            {"inline", 0, 32}, {"w1", 1, 32}, {"w2", 2, 32}, {"w4", 4, 32},
+            {"w1_per_record", 1, 1}};
+        std::vector<std::vector<double>> rates(cases.size());
+        for (std::size_t round = 0; round < kRounds; ++round) {
+            for (std::size_t k = 0; k < cases.size(); ++k) {
+                const std::size_t c = round % 2 == 0 ? k : cases.size() - 1 - k;
+                pipeline::HybridConfig hcfg;
+                hcfg.backend = pipeline::BackendKind::kCpu;
+                hcfg.frames = kFrames;
+                hcfg.averages = 4;
+                hcfg.ring_records = 64;
+                hcfg.decode_workers = cases[c].workers;
+                hcfg.batch_records = cases[c].batch_records;
+                pipeline::HybridPipeline hybrid(seq, layout, period, hcfg);
+                rates[c].push_back(hybrid.run().sample_rate);
             }
         }
+        std::cout << "\nhybrid stream (order 8, CPU backend, " << kFrames
+                  << " frames, " << kRounds << " rounds), median Msamples/s:";
+        for (std::size_t c = 0; c < cases.size(); ++c)
+            std::cout << " " << cases[c].name << " "
+                      << format_double(percentile(rates[c], 50.0) / 1e6, 1);
+        std::cout << "\n";
+        Table ratios("E3: hybrid stream ratios, round by round");
+        ratios.set_header({"ratio", "cases", "x_median", "x_min", "x_max"});
+        ratios.set_precision(2);
+        // rate(a) / rate(b) within each round, summarized as median, min
+        // and max, also emitted as hybrid.<key>, hybrid.<key>_min/_max.
+        const auto add_ratio = [&](const std::string& key, std::size_t a,
+                                   std::size_t b) {
+            std::vector<double> x(kRounds);
+            for (std::size_t r = 0; r < kRounds; ++r) x[r] = rates[a][r] / rates[b][r];
+            const double mid = percentile(x, 50.0);
+            const auto [lo, hi] = std::minmax_element(x.begin(), x.end());
+            ratios.add_row({key, std::string(cases[a].name) + " / " + cases[b].name,
+                            mid, *lo, *hi});
+            meta.scalars.emplace_back("hybrid." + key, mid);
+            meta.scalars.emplace_back("hybrid." + key + "_min", *lo);
+            meta.scalars.emplace_back("hybrid." + key + "_max", *hi);
+        };
+        add_ratio("overlap_x", 1, 0);
+        add_ratio("overlap_x_w2", 2, 0);
+        add_ratio("overlap_x_w4", 3, 0);
+        add_ratio("batch_x", 1, 4);
+        ratios.print(std::cout);
 
-        // Batch-transport ablation: the same overlapped run with the staging
-        // batch forced to one record (the pre-batch transport protocol).
-        // batch_x is the end-to-end ingest gain of span-granular publishes.
-        hcfg.decode_workers = 1;
-        hcfg.batch_records = 1;
-        {
-            const auto report = run_rate(hcfg);
-            const double batch_x =
-                report.sample_rate > 0.0
-                    ? find_scalar(meta, "hybrid.overlap_sample_rate") /
-                          report.sample_rate
-                    : 0.0;
-            std::cout << "hybrid stream, per-record transport:  "
-                      << format_double(report.sample_rate / 1e6, 2)
-                      << " Msamples/s (batch_x "
-                      << format_double(batch_x, 2) << ")\n";
-            meta.scalars.emplace_back("hybrid.per_record_sample_rate",
-                                      report.sample_rate);
-            meta.scalars.emplace_back("hybrid.batch_x", batch_x);
-        }
+        // Real-time factors are these over order8_ovs2.instrument_rate.
+        meta.scalars.emplace_back("hybrid.sample_rate", percentile(rates[0], 50.0));
+        meta.scalars.emplace_back("hybrid.overlap_sample_rate",
+                                  percentile(rates[1], 50.0));
+        meta.scalars.emplace_back("hybrid.per_record_sample_rate",
+                                  percentile(rates[4], 50.0));
     }
 
-    if (tel.enabled()) {
-        const auto snap = tel.snapshot();
-        telemetry::print_report(std::cout, snap);
-        telemetry::save_json_report("BENCH_E3.json", snap, meta);
-        std::cout << "telemetry run report written to BENCH_E3.json\n";
-    }
+    bench::write_report("BENCH_E3.json", meta, /*print_tables=*/true);
     std::cout << "\nShape check: the base FPGA configuration (1 word/cycle,\n"
                  "4 engines @ 100 MHz) sustains real time through order 9 and\n"
                  "falls below it for the largest frames — where BRAM is also\n"

@@ -11,6 +11,8 @@
 
 #include "core/htims.hpp"
 
+#include "bench_report.hpp"
+
 using namespace htims;
 
 int main() {
@@ -22,8 +24,7 @@ int main() {
     Rng rng(7);
     for (double& v : raw.data()) v = rng.uniform(0.0, 255.0);
 
-    auto& tel = telemetry::Registry::global();
-    tel.reset();
+    telemetry::Registry::global().reset();
     telemetry::RunMeta meta;
     meta.bench = "bench_e4_scaling";
     meta.labels.emplace_back("experiment", "E4");
@@ -74,66 +75,7 @@ int main() {
     }
     table.print(std::cout);
 
-    // Hybrid streaming run on the same frame so the run report carries ring
-    // occupancy plus producer-stall / consumer-idle latency distributions,
-    // synchronous and with overlapped decode (overlap_x = throughput gain
-    // from decoding frame k on a worker while frame k+1 streams in).
-    {
-        pipeline::HybridConfig hcfg;
-        hcfg.backend = pipeline::BackendKind::kCpu;
-        hcfg.frames = 2;
-        hcfg.averages = 2;
-        hcfg.ring_records = 128;
-        const auto period = pipeline::to_period_samples(raw, 1);
-        pipeline::HybridPipeline hybrid(seq, layout, period, hcfg);
-        const auto report = hybrid.run();
-        const double rtf = report.realtime_factor(layout.sample_rate());
-        std::cout << "\nhybrid stream (CPU backend): "
-                  << format_double(report.sample_rate / 1e6, 2)
-                  << " Msamples/s, realtime_factor " << format_double(rtf, 2)
-                  << "\n";
-        meta.scalars.emplace_back("hybrid.sample_rate", report.sample_rate);
-        meta.scalars.emplace_back("hybrid.realtime_factor", rtf);
-
-        // Worker sweep: decode_workers splits the deconvolution of in-flight
-        // frames across parallel workers with ordered emission; on spare
-        // cores overlap_x_wN should rise with N until decode stops being the
-        // bottleneck, on a single hardware thread all points collapse to ~1.
-        for (const std::size_t workers :
-             {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-            hcfg.decode_workers = workers;
-            pipeline::HybridPipeline overlapped(seq, layout, period, hcfg);
-            const auto overlap_report = overlapped.run();
-            const double overlap_rtf =
-                overlap_report.realtime_factor(layout.sample_rate());
-            const double overlap_x =
-                report.sample_rate > 0.0
-                    ? overlap_report.sample_rate / report.sample_rate
-                    : 0.0;
-            std::cout << "hybrid stream, overlapped decode (w" << workers
-                      << "): "
-                      << format_double(overlap_report.sample_rate / 1e6, 2)
-                      << " Msamples/s (overlap_x "
-                      << format_double(overlap_x, 2) << ")\n";
-            if (workers == 1) {
-                meta.scalars.emplace_back("hybrid.overlap_sample_rate",
-                                          overlap_report.sample_rate);
-                meta.scalars.emplace_back("hybrid.overlap_realtime_factor",
-                                          overlap_rtf);
-                meta.scalars.emplace_back("hybrid.overlap_x", overlap_x);
-            } else {
-                meta.scalars.emplace_back(
-                    "hybrid.overlap_x_w" + std::to_string(workers), overlap_x);
-            }
-        }
-    }
-
-    if (tel.enabled()) {
-        const auto snap = tel.snapshot();
-        telemetry::print_report(std::cout, snap);
-        telemetry::save_json_report("BENCH_E4.json", snap, meta);
-        std::cout << "telemetry run report written to BENCH_E4.json\n";
-    }
+    bench::write_report("BENCH_E4.json", meta, /*print_tables=*/true);
     std::cout << "\nShape check: near-linear scaling when physical cores are\n"
                  "available (per-channel decomposition is embarrassingly\n"
                  "parallel); flat on a single-core host.\n";

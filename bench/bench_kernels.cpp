@@ -33,7 +33,10 @@
 #include "transform/enhanced.hpp"
 #include "transform/fwht.hpp"
 
+#include "bench_report.hpp"
+
 using namespace htims;
+using bench::find_scalar;
 
 static void BM_Fwht(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
@@ -324,17 +327,10 @@ private:
     telemetry::RunMeta& meta_;
 };
 
-double find_scalar(const telemetry::RunMeta& meta, const std::string& key) {
-    for (const auto& [name, value] : meta.scalars)
-        if (name == key) return value;
-    return 0.0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-    auto& tel = telemetry::Registry::global();
-    tel.reset();
+    telemetry::Registry::global().reset();
 
     telemetry::RunMeta meta;
     meta.bench = "bench_kernels";
@@ -383,10 +379,6 @@ int main(int argc, char** argv) {
         meta.scalars.emplace_back("speedup.ring_stream_batch",
                                   stream64 / stream1);
 
-    if (tel.enabled()) {
-        const auto snap = tel.snapshot();
-        telemetry::save_json_report("BENCH_KERNELS.json", snap, meta);
-        std::cout << "telemetry run report written to BENCH_KERNELS.json\n";
-    }
+    bench::write_report("BENCH_KERNELS.json", meta);
     return 0;
 }

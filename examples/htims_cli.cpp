@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -63,8 +62,6 @@ void usage() {
         "                        N[:workers[:frames]] (default workers 2,\n"
         "                        0 = decode inline; frames 4); stream\n"
         "                        backends alternate starting from --backend\n"
-        "  --fleet-json PATH     write the fleet report (per-stream and\n"
-        "                        aggregate p99 frame latency) as JSON\n"
         "  --analyze[=D]         run the hyperdimensional analysis stage on\n"
         "                        the decoded output: encode spectra as D-bit\n"
         "                        hypervectors (default 4096), identify them\n"
@@ -74,7 +71,9 @@ void usage() {
         "  --save PATH           write the deconvolved frame (binary)\n"
         "  --csv                 print the feature table as CSV\n"
         "  --telemetry           print the telemetry report after the run\n"
-        "  --telemetry-json PATH write the telemetry run report as JSON\n"
+        "  --telemetry-json PATH write the run report as JSON (always, even\n"
+        "                        with telemetry off); after --fleet it also\n"
+        "                        carries the fleet report's fleet.* scalars\n"
         "  --help                this text\n";
 }
 
@@ -88,7 +87,6 @@ int main(int argc, char** argv) {
     std::string record_path;
     std::string replay_path;
     std::string fleet_spec;
-    std::string fleet_json_path;
     double replay_rate = 0.0;
     std::string telemetry_json_path;
     bool csv = false;
@@ -158,8 +156,6 @@ int main(int argc, char** argv) {
             fleet_spec = arg == "--fleet"
                              ? next()
                              : arg.substr(std::string("--fleet=").size());
-        } else if (arg == "--fleet-json") {
-            fleet_json_path = next();
         } else if (arg == "--record") {
             record_path = next();
         } else if (arg == "--replay") {
@@ -193,6 +189,11 @@ int main(int argc, char** argv) {
     try {
         core::Simulator simulator(cfg, mixture);
         const auto run = simulator.run();
+        telemetry::RunMeta report_meta;  // the --telemetry-json run report
+        report_meta.bench = "htims_cli";
+        report_meta.labels.emplace_back("sample", mixture.name);
+        report_meta.scalars.emplace_back("decode_seconds", run.decode_seconds);
+        report_meta.scalars.emplace_back("duty_cycle", run.acquisition.duty_cycle);
 
         std::cout << "sample: " << mixture.name << "\n"
                   << "frame: " << run.deconvolved.drift_bins() << " x "
@@ -378,17 +379,7 @@ int main(int argc, char** argv) {
                           << report.clusters << " cluster(s), digest "
                           << stage->digest() << "\n";
             }
-            if (!fleet_json_path.empty()) {
-                std::ofstream out(fleet_json_path);
-                if (!out) {
-                    std::cerr << "error: cannot write " << fleet_json_path
-                              << "\n";
-                    return 1;
-                }
-                out << pipeline::fleet_report_json(fleet) << "\n";
-                std::cout << "fleet report written to " << fleet_json_path
-                          << "\n";
-            }
+            pipeline::append_fleet_scalars(report_meta, fleet, "fleet");
         }
 
         if (!record_path.empty() || !replay_path.empty()) {
@@ -470,25 +461,19 @@ int main(int argc, char** argv) {
         }
 
         if (telemetry || !telemetry_json_path.empty()) {
+            // The run's scalars (fleet figures included) reach the JSON
+            // report whether or not the registry recorded anything.
             auto& tel = simulator.telemetry();
-            if (!tel.enabled()) {
+            const bool recorded = tel.enabled();
+            if (!recorded)
                 std::cout << "telemetry disabled (HTIMS_TELEMETRY=0 or "
                              "compiled out)\n";
-            } else {
-                const auto snap = tel.snapshot();
-                if (telemetry) telemetry::print_report(std::cout, snap);
-                if (!telemetry_json_path.empty()) {
-                    telemetry::RunMeta meta;
-                    meta.bench = "htims_cli";
-                    meta.labels.emplace_back("sample", mixture.name);
-                    meta.scalars.emplace_back("decode_seconds",
-                                              run.decode_seconds);
-                    meta.scalars.emplace_back(
-                        "duty_cycle", run.acquisition.duty_cycle);
-                    telemetry::save_json_report(telemetry_json_path, snap, meta);
-                    std::cout << "telemetry report written to "
-                              << telemetry_json_path << "\n";
-                }
+            const auto snap = recorded ? tel.snapshot() : telemetry::Snapshot{};
+            if (telemetry && recorded) telemetry::print_report(std::cout, snap);
+            if (!telemetry_json_path.empty()) {
+                telemetry::save_json_report(telemetry_json_path, snap, report_meta);
+                std::cout << "telemetry report written to "
+                          << telemetry_json_path << "\n";
             }
         }
     } catch (const Error& e) {

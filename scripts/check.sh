@@ -30,8 +30,8 @@
 #             traffic, one-stream engine start/stop under backpressure —
 #             inline decode and decode workers — and fleet churn:
 #             multi-stream start/stop over the shared MPMC dispatch queue,
-#             dispatch backpressure, and pool shutdown with a non-empty
-#             queue. The
+#             many CPU streams queueing every buffer for a single worker,
+#             and pool shutdown with a non-empty queue. The
 #             `tsan` ctest label then re-runs that
 #             focused set a second time for extra interleavings. TSan aborts
 #             the run on any report, so a green stage means zero races
@@ -47,15 +47,19 @@
 #             accounting, and seed-reproducible counts across two runs.
 #   bench     bench-smoke gate in build-check/: build the bench targets,
 #             then run bench_kernels with a tiny min_time, bench_e16_fleet
-#             --tiny, and bench_e19_hdsearch --tiny (telemetry off so no
-#             JSON reports land in the tree), then `python3 perfbench/run.py
-#             --self-test`: it builds the repository benchmark's driver
-#             against the public API (in the gitignored .bench_build/),
-#             runs every workload tiny, and checks that every
-#             BENCHMARK.json metric comes out in its unit and that the
-#             output oracles pass clean runs and catch a corrupted copy.
-#             Fails on a crash/nonzero exit (the self-test's included)
-#             or on a "REGRESSION" marker in the output — bench_kernels
+#             --tiny, bench_e19_hdsearch --tiny, and bench_e17_replay
+#             (telemetry off so no JSON reports land in the tree; E17 from a
+#             temporary directory, since it writes its store file into the
+#             working directory, and exiting non-zero when the replayed
+#             digests differ from the live run's), then `python3
+#             perfbench/run.py --self-test`: it builds the repository
+#             benchmark (perfbench) against the public API (in the gitignored
+#             .bench_build/), runs every workload tiny, and checks that
+#             every BENCHMARK.json metric comes out in its unit and that
+#             the output oracles pass clean runs and catch a corrupted
+#             copy. Fails on a crash/nonzero exit (E17's digest check and
+#             the self-test's included) or on a "REGRESSION" marker in the
+#             output — bench_kernels
 #             prints one when a headline speedup (batch ring transport vs
 #             per-record) drops below 1.0, bench_e16_fleet when the
 #             4-stream paced aggregate falls below 2x the single-stream
@@ -241,6 +245,8 @@ if [[ "$run_bench" == 1 ]]; then
     # Tiny min_time keeps this to seconds; HTIMS_TELEMETRY=0 suppresses the
     # JSON run reports the benches otherwise write into the working tree.
     bench_log=$(mktemp)
+    e17_dir=$(mktemp -d)
+    e17="$PWD/build-check/bench/bench_e17_replay"
     if ensure_check_tree &&
         cmake --build build-check -j "$jobs" \
             --target bench_kernels bench_e3_throughput bench_e4_scaling \
@@ -252,6 +258,7 @@ if [[ "$run_bench" == 1 ]]; then
             | tee -a "$bench_log" &&
         HTIMS_TELEMETRY=0 build-check/bench/bench_e19_hdsearch --tiny \
             | tee -a "$bench_log" &&
+        (cd "$e17_dir" && HTIMS_TELEMETRY=0 "$e17") | tee -a "$bench_log" &&
         ! grep -q '^REGRESSION' "$bench_log" &&
         python3 perfbench/run.py --self-test; then
         stage bench PASS
@@ -259,6 +266,7 @@ if [[ "$run_bench" == 1 ]]; then
         stage bench FAIL
     fi
     rm -f "$bench_log"
+    rm -rf "$e17_dir"
 else
     stage bench "SKIP ($(skipnote --no-bench))"
 fi

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
@@ -32,8 +33,8 @@ void CpuBackend::set_faults(fault::FaultInjector* faults, int max_retries,
     backoff_s_ = backoff_s;
 }
 
-Frame CpuBackend::deconvolve(const Frame& raw) {
-    if (faults_ == nullptr) return run(raw, lanes_);
+Frame CpuBackend::deconvolve(const Frame& raw, Frame reuse) {
+    if (faults_ == nullptr) return run(raw, lanes_, std::move(reuse));
     // A fired kCpuFault models a transient task failure (lost worker, ECC
     // retry, preempted node): the attempt is abandoned and retried after an
     // exponential backoff. The injector's per-site event counter advances
@@ -53,12 +54,12 @@ Frame CpuBackend::deconvolve(const Frame& raw) {
         if (backoff > 0.0)
             std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
     }
-    return run(raw, lanes_);
+    return run(raw, lanes_, std::move(reuse));
 }
 
 Frame CpuBackend::deconvolve_scalar(const Frame& raw) { return run(raw, 1); }
 
-Frame CpuBackend::run(const Frame& raw, std::size_t lanes) {
+Frame CpuBackend::run(const Frame& raw, std::size_t lanes, Frame reuse) {
     HTIMS_EXPECTS(raw.layout() == layout_);
     auto& tel = telemetry::Registry::global();
     static const auto kStageDecode = tel.intern("cpu.deconvolve");
@@ -73,7 +74,7 @@ Frame CpuBackend::run(const Frame& raw, std::size_t lanes) {
     static auto& h_tile = tel.histogram("cpu.tile_ns");
     auto span = tel.span(kStageDecode);
 
-    Frame out(layout_);
+    Frame out = reuse.layout() == layout_ ? std::move(reuse) : Frame(layout_);
     WallTimer timer;
     HTIMS_CHECK(lanes >= 1, "batch lane count must be at least 1");
     const std::size_t tiles = lanes > 1 ? layout_.mz_bins / lanes : 0;

@@ -65,13 +65,16 @@ public:
     }
 
     /// Deconvolve every m/z channel of `raw`; returns the drift-domain
-    /// frame. Uses the batched tile path unless batch_lanes() == 1.
+    /// frame. Uses the batched tile path unless batch_lanes() == 1. A
+    /// spent frame of this layout passed as `reuse` lends its storage to
+    /// the result (every cell is overwritten), sparing a frame-sized
+    /// allocation and its page faults per decode.
     ///
     /// Thread safety: one deconvolve at a time, but the calling thread may
     /// change between calls (the streaming engine decodes on the consumer
     /// or on pool workers). Retry/backoff state is per-call; the
     /// stats below are synchronized so any thread reads consistent values.
-    Frame deconvolve(const Frame& raw);
+    Frame deconvolve(const Frame& raw, Frame reuse = {});
 
     /// Reference path: one channel at a time, regardless of batch_lanes().
     Frame deconvolve_scalar(const Frame& raw);
@@ -100,7 +103,7 @@ public:
     double sustained_sample_rate(std::size_t averages) const;
 
 private:
-    Frame run(const Frame& raw, std::size_t lanes);
+    Frame run(const Frame& raw, std::size_t lanes, Frame reuse = {});
 
     transform::EnhancedDeconvolver decon_;
     FrameLayout layout_;

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <deque>
 #include <exception>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -21,7 +22,7 @@
 #include "pipeline/mpmc_queue.hpp"
 #include "pipeline/stream_link.hpp"
 #include "pipeline/turnstile.hpp"
-#include "telemetry/json.hpp"
+#include "telemetry/report.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace htims::pipeline {
@@ -80,10 +81,12 @@ private:
     bool aborted_ = false;
 };
 
-/// One thread's decoder for one stream: the backend the stream uses.
+/// One thread's decoder for one stream: the backend the stream uses, and
+/// for the CPU backend the spent frame its next decode writes into.
 struct Decoder {
     std::unique_ptr<CpuBackend> cpu;
     std::unique_ptr<FpgaPipeline> fpga;
+    Frame spare;
 };
 
 Decoder make_decoder(const FleetStream& spec, std::size_t cpu_threads) {
@@ -165,14 +168,15 @@ void decode_and_emit(StreamState& st, const DispatchJob& job, Decoder& dec,
     {
         auto decode_span = tel.span(kStageDecode);
         decoded = dec.fpga ? dec.fpga->finalize_frame(job.capture)
-                           : dec.cpu->deconvolve(job.frame);
+                           : dec.cpu->deconvolve(job.frame, std::move(dec.spare));
     }
     h_decode.observe(telemetry::now_ns() - t0);
     if (!st.turnstile.wait_turn(job.index)) return;  // the pool died
     if (dec.fpga) st.fpga = dec.fpga->report();
     if (cfg.frame_sink) cfg.frame_sink(job.index, decoded);
     if (cfg.analysis) cfg.analysis->analyze(st.id, job.index, decoded);
-    st.last_frame = std::move(decoded);
+    std::swap(st.last_frame, decoded);  // the frame it replaces is spent
+    if (dec.cpu) dec.spare = std::move(decoded);
     const std::uint64_t now = telemetry::now_ns();
     st.shard.latency.observe(now - job.dispatch_ns);
     agg_latency.observe(now - job.dispatch_ns);
@@ -184,18 +188,6 @@ void decode_and_emit(StreamState& st, const DispatchJob& job, Decoder& dec,
                                                 1, st.last_emit_ns, now});
     st.last_emit_ns = now;
     st.turnstile.advance();
-}
-
-telemetry::JsonValue summary_json(const telemetry::HistogramSummary& s) {
-    telemetry::JsonValue v{telemetry::JsonValue::Object{}};
-    v.set("count", s.count);
-    v.set("min", s.min);
-    v.set("max", s.max);
-    v.set("mean", s.mean);
-    v.set("p50", s.p50);
-    v.set("p95", s.p95);
-    v.set("p99", s.p99);
-    return v;
 }
 
 }  // namespace
@@ -230,43 +222,39 @@ void validate_stream(const FleetStream& stream, std::size_t decode_workers,
     }
 }
 
-std::string fleet_report_json(const FleetReport& report) {
-    using telemetry::JsonValue;
-    JsonValue root{JsonValue::Object{}};
-    root.set("schema", "htims.fleet.v1");
-
-    JsonValue aggregate{JsonValue::Object{}};
-    aggregate.set("streams", static_cast<std::uint64_t>(report.streams.size()));
-    aggregate.set("wall_seconds", report.wall_seconds);
-    aggregate.set("frames", report.frames);
-    aggregate.set("samples", report.samples);
-    aggregate.set("sample_rate", report.sample_rate);
-    aggregate.set("records_dropped", report.records_dropped);
-    aggregate.set("frames_degraded", report.frames_degraded);
-    aggregate.set("frame_latency_ns", summary_json(report.frame_latency));
-    root.set("aggregate", std::move(aggregate));
-
-    JsonValue::Array streams;
-    streams.reserve(report.streams.size());
+void append_fleet_scalars(telemetry::RunMeta& meta, const FleetReport& report,
+                          const std::string& prefix) {
+    using Fields = std::initializer_list<std::pair<const char*, double>>;
+    const auto n = [](std::uint64_t count) { return static_cast<double>(count); };
+    const auto put = [&](const std::string& key, Fields fields,
+                         const telemetry::HistogramSummary& ns) {
+        for (const auto& [field, value] : fields)
+            meta.scalars.emplace_back(key + "." + field, value);
+        for (const auto& [field, value] :
+             Fields{{"count", n(ns.count)}, {"min", n(ns.min)}, {"max", n(ns.max)},
+                    {"mean", ns.mean}, {"p50", ns.p50}, {"p95", ns.p95}, {"p99", ns.p99}})
+            meta.scalars.emplace_back(key + ".frame_latency_ns." + field, value);
+    };
+    put(prefix,
+        {{"streams", n(report.streams.size())}, {"wall_seconds", report.wall_seconds},
+         {"frames", n(report.frames)}, {"samples", n(report.samples)},
+         {"sample_rate", report.sample_rate},
+         {"records_dropped", n(report.records_dropped)},
+         {"frames_degraded", n(report.frames_degraded)}},
+        report.frame_latency);
     for (std::size_t i = 0; i < report.streams.size(); ++i) {
-        const auto& sr = report.streams[i];
-        JsonValue entry{JsonValue::Object{}};
-        entry.set("index", static_cast<std::uint64_t>(i));
-        entry.set("frames", sr.report.frames);
-        entry.set("samples", sr.report.samples);
-        entry.set("wall_seconds", sr.report.wall_seconds);
-        entry.set("sample_rate", sr.report.sample_rate);
-        entry.set("records_dropped", sr.report.records_dropped);
-        entry.set("frames_degraded", sr.report.frames_degraded);
-        entry.set("cpu_task_retries", sr.report.cpu_task_retries);
-        entry.set("producer_stall_seconds", sr.report.producer_stall_seconds);
-        entry.set("consumer_idle_seconds", sr.report.consumer_idle_seconds);
-        entry.set("decode_wait_seconds", sr.report.decode_wait_seconds);
-        entry.set("frame_latency_ns", summary_json(sr.frame_latency));
-        streams.push_back(std::move(entry));
+        const HybridReport& r = report.streams[i].report;
+        put(prefix + ".stream" + std::to_string(i),
+            {{"frames", n(r.frames)}, {"samples", n(r.samples)},
+             {"wall_seconds", r.wall_seconds}, {"sample_rate", r.sample_rate},
+             {"records_dropped", n(r.records_dropped)},
+             {"frames_degraded", n(r.frames_degraded)},
+             {"cpu_task_retries", n(r.cpu_task_retries)},
+             {"producer_stall_seconds", r.producer_stall_seconds},
+             {"consumer_idle_seconds", r.consumer_idle_seconds},
+             {"decode_wait_seconds", r.decode_wait_seconds}},
+            report.streams[i].frame_latency);
     }
-    root.set("streams", JsonValue(std::move(streams)));
-    return root.dump(2);
 }
 
 FleetRunner::FleetRunner(std::vector<FleetStream> streams,
@@ -335,7 +323,6 @@ FleetReport FleetRunner::run() {
                                   records_per_period,
                               cfg.frames,
                               batch_cap,
-                              batch_cap,
                               cfg.ring_policy,
                               cfg.ring_timeout_s,
                               cfg.faults};
@@ -345,28 +332,26 @@ FleetReport FleetRunner::run() {
         if (st->own.fpga && cfg.faults != nullptr) st->own.fpga->set_faults(cfg.faults);
 
         // With a pool, decode_buffers (>= 2, validated) bounds this
-        // stream's frames in flight: one accumulating at the consumer plus
-        // decode_buffers-1 spares queued or decoding. FPGA spares start
-        // empty: capture_frame allocates their bins.
+        // stream's frames in flight: the consumer's own buffer plus
+        // decode_buffers-1 spares. A CPU consumer accumulates into its own
+        // buffer, so all decode_buffers frames can be queued at once; an
+        // FPGA consumer accumulates inside the model and hands off only
+        // spares, which start empty (capture_frame allocates their bins).
         if (workers_n > 0) {
             for (std::size_t b = 0; b + 1 < cfg.decode_buffers; ++b)
                 st->free_list.push(DispatchJob{
                     st->id, 0, 0,
                     cfg.backend == BackendKind::kFpga ? Frame{} : Frame(spec.layout),
                     {}});
-            inflight_total += cfg.decode_buffers - 1;
+            inflight_total += cfg.decode_buffers;
         }
         states.push_back(std::move(st));
     }
 
-    // The auto-sized dispatch queue can hold every frame that can possibly
-    // be in flight at once, so a full queue (consumer-side backpressure)
-    // only happens when the caller asked for a smaller dispatch_depth.
+    // The dispatch queue holds every frame the streams can have in flight,
+    // so it never fills: a consumer waits only for a spare buffer.
     std::optional<MpmcQueue<DispatchJob>> queue;
-    if (workers_n > 0)
-        queue.emplace(config_.dispatch_depth > 0
-                          ? config_.dispatch_depth
-                          : std::max<std::size_t>(2, inflight_total));
+    if (workers_n > 0) queue.emplace(inflight_total);
 
     // Consumers still running; workers exit once this hits zero AND the
     // queue is drained. Each consumer decrements with release after its
@@ -386,22 +371,18 @@ FleetReport FleetRunner::run() {
         const auto& cfg = st->spec.config;
         bool down = false;  // the decode pool died: drain without dispatch
         // Hand a closed frame on: decode it here, or queue it for the
-        // pool. A full dispatch queue stalls only this stream (its ring
-        // then fills and its producer stalls — the backpressure chain
-        // stays stream-local).
+        // pool. The queue never fills, but a push can still meet the one
+        // slot a worker has claimed a lap back and not yet recycled (the
+        // ticket protocol's recycle window, mpmc_queue.hpp); with two or
+        // more streams and workers, other streams' frames can lap a
+        // descheduled worker there, so wait the window out.
         const auto hand_off = [&](DispatchJob& job) {
             job.dispatch_ns = telemetry::now_ns();
             if (!queue) {
                 decode_and_emit(*st, job, st->own, agg_latency);
                 return;
             }
-            if (!queue->try_push(std::move(job))) {
-                WallTimer wait;
-                do {
-                    std::this_thread::yield();
-                } while (!queue->try_push(std::move(job)));
-                st->decode_wait_s += wait.seconds();
-            }
+            while (!queue->try_push(std::move(job))) std::this_thread::yield();
             const auto depth = static_cast<std::int64_t>(queue->size());
             g_queue.set(depth);
             h_queue.observe(static_cast<std::uint64_t>(depth));

@@ -30,9 +30,10 @@
 // error, fails) stream k alone; other streams' digests and counters are
 // untouched. Per-stream frame latency is sharded (cache-line-padded
 // shards, no cross-stream false sharing) and aggregated into the
-// FleetReport, whose JSON rendering (fleet_report_json) carries per-stream
-// and aggregate p99 frame latency — the E16 bench protocol's scaling
-// evidence. The registry's hybrid.* instruments hold sums across streams.
+// FleetReport; append_fleet_scalars writes it into an htims.telemetry.v1
+// run report as scalars, per stream and aggregate — the E16 bench
+// protocol's scaling evidence. The registry's hybrid.* instruments hold
+// sums across streams.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +44,10 @@
 #include "pipeline/frame.hpp"
 #include "pipeline/hybrid.hpp"
 #include "telemetry/histogram.hpp"
+
+namespace htims::telemetry {
+struct RunMeta;
+}
 
 namespace htims::pipeline {
 
@@ -65,14 +70,13 @@ struct FleetStream {
 /// Fleet-wide knobs.
 struct FleetConfig {
     /// Shared decode pool size. 0 decodes every frame inline on its
-    /// stream's consumer: no queue, no workers, no spare buffers.
+    /// stream's consumer: no queue, no workers, no spare buffers. With
+    /// M >= 1 the dispatch queue holds the sum of the streams'
+    /// decode_buffers, every frame that can be in flight, so it never
+    /// fills; a stream whose spare buffers are all out stalls its own
+    /// consumer, which fills its ring and stalls its producer — never its
+    /// neighbours'.
     std::size_t decode_workers = 2;
-    /// Dispatch queue depth in frames; 0 sizes it so a queue-full condition
-    /// is impossible (the per-stream buffer pools bound the in-flight total).
-    /// Smaller values exercise dispatch backpressure: a stream whose frames
-    /// meet a full queue stalls its consumer, which fills its ring and
-    /// stalls its producer — never its neighbours'.
-    std::size_t dispatch_depth = 0;
 };
 
 /// Per-stream outcome: the solo-compatible report plus the stream's
@@ -94,10 +98,12 @@ struct FleetReport {
     telemetry::HistogramSummary frame_latency;  ///< ns, all streams pooled
 };
 
-/// Render a fleet report as a standalone JSON document (schema
-/// "htims.fleet.v1"): aggregate scalars plus one entry per stream with its
-/// throughput, degradation counters, and p50/p95/p99 frame latency.
-std::string fleet_report_json(const FleetReport& report);
+/// Append `report` to a run report as scalars: the aggregate figures as
+/// `<prefix>.<field>`, then stream i's as `<prefix>.stream<i>.<field>`;
+/// each latency summary (ns) becomes `.count/.min/.max/.mean/.p50/.p95/
+/// .p99` under its `frame_latency_ns` key.
+void append_fleet_scalars(telemetry::RunMeta& meta, const FleetReport& report,
+                          const std::string& prefix);
 
 /// The one config check for solo runs and fleet streams: throws ConfigError,
 /// its message starting with `who`, unless `stream` can run with

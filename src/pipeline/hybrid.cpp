@@ -7,7 +7,6 @@
 #include "common/contracts.hpp"
 #include "common/error.hpp"
 #include "pipeline/fleet.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace htims::pipeline {
 
@@ -21,13 +20,6 @@ PeriodTemplateSource::PeriodTemplateSource(std::vector<std::uint32_t> period_sam
       total_records_(frames * averages * layout.drift_bins) {
     if (period_samples_.size() != layout.cells())
         throw ConfigError("period sample template must have layout.cells() entries");
-}
-
-std::span<const std::uint32_t> PeriodTemplateSource::record(std::uint64_t seq) {
-    const std::size_t record_in_period =
-        static_cast<std::size_t>(seq % records_per_period_);
-    return std::span(period_samples_.data() + record_in_period * record_len_,
-                     record_len_);
 }
 
 std::span<const std::uint32_t> PeriodTemplateSource::record_block(
@@ -82,10 +74,7 @@ HybridReport HybridPipeline::run() {
     one.push_back(FleetStream{sequence_, layout_, std::move(stream), {}, source_});
     FleetReport fleet =
         FleetRunner(std::move(one), FleetConfig{config_.decode_workers}).run();
-    HybridReport report = std::move(fleet.streams.front().report);
-    auto& tel = telemetry::Registry::global();
-    if (telemetry::kCompiledIn && tel.enabled()) report.telemetry = tel.snapshot();
-    return report;
+    return std::move(fleet.streams.front().report);
 }
 
 }  // namespace htims::pipeline

@@ -51,7 +51,6 @@
 #include "pipeline/fpga.hpp"
 #include "pipeline/frame.hpp"
 #include "pipeline/spsc_ring.hpp"
-#include "telemetry/registry.hpp"
 
 namespace htims::analysis {
 class AnalysisStage;
@@ -65,7 +64,8 @@ enum class BackendKind { kFpga, kCpu };
 /// Where the producer's records come from. The built-in source replays a
 /// fixed period template (the simulated live instrument); the frame store's
 /// ReplaySource serves an archived run back through the same ring. The
-/// producer thread is the only caller of record(); sources need no locking.
+/// producer thread is the only caller and reads records only through
+/// record_block(); sources need no locking.
 class RecordSource {
 public:
     virtual ~RecordSource() = default;
@@ -74,22 +74,21 @@ public:
     /// frames x averages x drift_bins).
     virtual std::uint64_t total_records() const = 0;
 
-    /// One TOF record (mz_bins samples) for global record index `seq`.
-    /// The span must stay valid until `window` more records (see
-    /// set_window) have been requested — blocks queued in the ring still
-    /// point at it.
-    virtual std::span<const std::uint32_t> record(std::uint64_t seq) = 0;
-
-    /// Up to `max_records` consecutive records starting at `seq`, returned
-    /// as one contiguous span (k * mz_bins samples for some 1 <= k <=
-    /// max_records). Sources return as many rows as are contiguous in their
-    /// backing storage; the default forwards to record(). The producer
-    /// stages the rows as individual ring blocks, so the set_window
-    /// retention contract is unchanged.
+    /// Up to `max_records` consecutive TOF records (mz_bins samples each)
+    /// starting at global record index `seq`, returned as one contiguous
+    /// span (k * mz_bins samples for some 1 <= k <= max_records). Sources
+    /// return as many rows as are contiguous in their backing storage. The
+    /// span must stay valid until `window` more records (see set_window)
+    /// have been requested — the producer stages the rows as individual
+    /// ring blocks, which still point at it while queued.
     virtual std::span<const std::uint32_t> record_block(std::uint64_t seq,
-                                                        std::size_t max_records) {
-        (void)max_records;
-        return record(seq);
+                                                        std::size_t max_records) = 0;
+
+    /// One record: record_block(seq, 1). The engine never calls it; it
+    /// stays virtual only because sources outside the library (perfbench's)
+    /// override it.
+    virtual std::span<const std::uint32_t> record(std::uint64_t seq) {
+        return record_block(seq, 1);
     }
 
     /// Earliest release time for `seq`, in nanoseconds after stream start
@@ -118,7 +117,6 @@ public:
                          std::uint64_t averages);
 
     std::uint64_t total_records() const override { return total_records_; }
-    std::span<const std::uint32_t> record(std::uint64_t seq) override;
     std::span<const std::uint32_t> record_block(std::uint64_t seq,
                                                 std::size_t max_records) override;
 
@@ -192,12 +190,10 @@ struct HybridReport {
     double consumer_idle_seconds = 0.0;   ///< time starved on an empty ring
     double decode_wait_seconds = 0.0;     ///< with decode workers: consumer
                                           ///< time blocked on a free decode
-                                          ///< buffer or a full dispatch queue
+                                          ///< buffer
     double sample_rate = 0.0;             ///< achieved samples/second
     FpgaCycleReport fpga{};               ///< last frame (FPGA backend only)
     Frame last_frame;                     ///< last deconvolved frame
-    telemetry::Snapshot telemetry;        ///< registry snapshot at run end
-                                          ///< (empty when telemetry is off)
 
     std::uint64_t records_dropped = 0;  ///< records lost to policy/overrun
     std::uint64_t frames_degraded = 0;  ///< frames missing >= 1 record
@@ -231,10 +227,8 @@ public:
     HybridPipeline(const prs::OversampledPrs& sequence, const FrameLayout& layout,
                    RecordSource& source, const HybridConfig& config);
 
-    const FrameLayout& layout() const { return layout_; }
-
-    /// Execute the streaming run; blocking. The report carries the
-    /// telemetry registry's snapshot at run end.
+    /// Execute the streaming run; blocking. The run also feeds the global
+    /// telemetry registry's hybrid.* instruments; snapshot it to read them.
     HybridReport run();
 
 private:

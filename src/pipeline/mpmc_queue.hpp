@@ -26,10 +26,14 @@
 // src/check/litmus.hpp verify the protocol exhaustively; the happens-before
 // argument lives in DESIGN.md ("Memory model").
 //
-// The queue never blocks: try_push fails on full, try_pop on empty; the
-// fleet layer turns "full" into consumer-side backpressure (which in turn
-// fills that stream's SPSC ring and stalls its producer) and "empty" into a
-// worker yield loop. Destruction is not synchronized — join every producer
+// The queue never blocks: try_push fails on full, try_pop on empty. "Full"
+// means the slot a lap back is not yet recycled, which also holds for the
+// instant between a consumer's tail CAS and its recycle store — so a push
+// can fail with fewer than capacity items queued while a consumer is
+// mid-pop on that slot. The fleet layer sizes the queue for every frame its
+// streams can have in flight, so "full" there is only that recycle window,
+// which the pushing consumer yields out; "empty" becomes a worker yield
+// loop. Destruction is not synchronized — join every producer
 // and consumer first (undrained payloads are destroyed with the slots).
 #pragma once
 

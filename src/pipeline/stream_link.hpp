@@ -4,10 +4,14 @@
 // a bounded SPSC ring (batch-staged, line-rate paced, fault-injected, with
 // the ring-full policy machinery), and a consumer loop that drains the ring
 // in batches, closes frames by watching the sequence tags, and accounts
-// drops/degradation. FleetRunner (pipeline/fleet.cpp) drives one of these
-// per stream; HybridPipeline is a one-stream fleet, so a stream runs the
-// same transport code whether it runs solo or beside others — the
-// fleet-parity digest matrix in tests/test_fleet.cpp pins that.
+// drops/degradation. The producer reads its source only through
+// record_block — faulted and paced records ask for one row, the rest for
+// up to a batch — and stages every row through the same code; one batch
+// size bounds both its publications and the consumer's pops. FleetRunner
+// (pipeline/fleet.cpp) drives one of these per stream; HybridPipeline is a
+// one-stream fleet, so a stream runs the same transport code whether it
+// runs solo or beside others — the fleet-parity digest matrix in
+// tests/test_fleet.cpp pins that.
 //
 // Accounting: each body returns (producer) or fills in place (consumer) its
 // stream's figures for the run report, and publishes the same events to the
@@ -52,8 +56,8 @@ struct LinkParams {
     std::uint64_t records_total = 0;      ///< frames x averages x drift_bins
     std::uint64_t records_per_frame = 0;  ///< averages x drift_bins
     std::size_t frames = 0;
-    std::size_t batch_cap = 1;    ///< producer staging batch (records)
-    std::size_t consume_cap = 1;  ///< consumer pop batch (records)
+    std::size_t batch_cap = 1;  ///< records per producer publication and
+                                ///< per consumer pop
     RingFullPolicy policy = RingFullPolicy::kBlock;
     double ring_timeout_s = 0.0;
     fault::FaultInjector* faults = nullptr;
@@ -184,9 +188,17 @@ inline double produce_stream(SpscRing<Block>& ring, RecordSource& source,
             }
         }
 
+        // Stage a contiguous run of records, cut at the batch size and the
+        // frame boundary (publications stay frame-local). Batch a run only
+        // when its *last* record releases immediately — release times are
+        // non-decreasing, so the whole run does; paced streams fall back to
+        // record-at-a-time with the wait above.
+        std::uint64_t want = 1;
+        bool overrun = false;
         if (p.faults != nullptr) {
-            // Faulted runs take the record-at-a-time path so the injector's
-            // per-record event order is exactly the per-record transport's.
+            // Faulted runs go record at a time so the injector's per-record
+            // event order (jitter, then overrun) is the per-record
+            // transport's.
             const auto jitter = p.faults->decide(fault::Site::kLinkJitter);
             if (jitter.fire) {
                 // A short, plan-determined transport hiccup (10..80 us).
@@ -196,44 +208,28 @@ inline double produce_stream(SpscRing<Block>& ring, RecordSource& source,
                 std::this_thread::sleep_for(std::chrono::microseconds(us));
                 c_jitter.increment();
             }
-            const auto row = source.record(seq);
-            HTIMS_DCHECK(row.size() == p.record_len,
-                         "record source rows span the m/z axis");
-            const Block block{row.data(), row.size(), seq, false};
-            ++seq;
-            if (p.faults->should_fire(fault::Site::kLinkOverrun)) {
-                // Forced overrun: straight to the policy, behind everything
-                // staged before it.
-                flush_stage();
-                push_policy(block);
-            } else {
-                stage.push_back(block);
-                if (stage.size() >= p.batch_cap ||
-                    seq % p.records_per_frame == 0)
-                    flush_stage();
-            }
-            continue;
+            overrun = p.faults->should_fire(fault::Site::kLinkOverrun);
+        } else {
+            const std::uint64_t frame_end =
+                (seq / p.records_per_frame + 1) * p.records_per_frame;
+            want = std::min(static_cast<std::uint64_t>(p.batch_cap - stage.size()),
+                            frame_end - seq);
+            if (want > 1 && source.release_ns(seq + want - 1) > 0) want = 1;
         }
-
-        // Fault-free fast path: stage a contiguous run of records, cut at
-        // the batch size and the frame boundary (publications stay frame-
-        // local). Batch a run only when its *last* record releases
-        // immediately — release times are non-decreasing, so the whole run
-        // does; paced streams fall back to record-at-a-time with the wait
-        // above.
-        std::uint64_t want =
-            static_cast<std::uint64_t>(p.batch_cap - stage.size());
-        const std::uint64_t frame_end =
-            (seq / p.records_per_frame + 1) * p.records_per_frame;
-        want = std::min(want, frame_end - seq);
-        if (want > 1 && source.release_ns(seq + want - 1) > 0) want = 1;
         const auto rows = source.record_block(seq, static_cast<std::size_t>(want));
         const std::size_t k = rows.size() / p.record_len;
         HTIMS_DCHECK(k >= 1 && k <= want && rows.size() == k * p.record_len,
                      "record_block returns 1..max_records whole rows");
-        for (std::size_t j = 0; j < k; ++j)
-            stage.push_back(Block{rows.data() + j * p.record_len, p.record_len,
-                                  seq + j, false});
+        if (overrun) {
+            // Forced overrun: straight to the policy, behind everything
+            // staged before it.
+            flush_stage();
+            push_policy(Block{rows.data(), p.record_len, seq, false});
+        } else {
+            for (std::size_t j = 0; j < k; ++j)
+                stage.push_back(Block{rows.data() + j * p.record_len,
+                                      p.record_len, seq + j, false});
+        }
         seq += k;
         if (stage.size() >= p.batch_cap || seq % p.records_per_frame == 0)
             flush_stage();
@@ -290,9 +286,9 @@ void consume_stream(SpscRing<Block>& ring, const LinkParams& p,
         }
     };
 
-    // Batch pop: drain up to consume_cap blocks per protocol round trip;
+    // Batch pop: drain up to batch_cap blocks per protocol round trip;
     // the per-block bookkeeping below is unchanged from per-record.
-    std::vector<Block> popped(p.consume_cap);
+    std::vector<Block> popped(p.batch_cap);
     while (!totals.stream_done) {
         std::size_t got = ring.pop_batch(std::span(popped));
         if (got == 0) {

@@ -63,8 +63,8 @@ ReplaySource::ReplaySource(const FrameStoreReader& reader,
     }
 
     // Conversion already rode along with validation's page walk: when the
-    // uint32 image fits the cap, keep it resident so record() is a pure
-    // span lookup — the path that matches live-template serving speed.
+    // uint32 image fits the cap, keep it resident so record_block() is a
+    // pure span lookup — the path that matches live-template serving speed.
     const std::size_t image_bytes =
         intact_.size() * reader.layout().cells() * sizeof(std::uint32_t);
     if (image_bytes <= config.resident_cap_bytes) {
@@ -112,14 +112,6 @@ std::span<const std::uint32_t> ReplaySource::samples_for(
         frames_served_counter().increment();
     }
     return slot.samples;
-}
-
-std::span<const std::uint32_t> ReplaySource::record(std::uint64_t seq) {
-    HTIMS_DCHECK(seq < total_records(), "replay record index in range");
-    const std::uint64_t frame_index = seq / records_per_frame_;
-    const auto samples = samples_for(frame_index);
-    const std::size_t row = static_cast<std::size_t>(seq % drift_bins_);
-    return samples.subspan(row * mz_bins_, mz_bins_);
 }
 
 std::span<const std::uint32_t> ReplaySource::record_block(

@@ -4,7 +4,7 @@
 // interface: each stored frame (a period template tagged with its live
 // frame index) is parsed out of the read-only mapping on demand, converted
 // back to the uint32 sample records the link carries, and handed to the
-// producer row by row — at the recorded line rate (rate_x = 1), a scaled
+// producer as runs of contiguous rows — at the recorded line rate (rate_x = 1), a scaled
 // rate, or as fast as the link accepts (rate_x = 0).
 //
 // The conversion is llround of nonnegative integral doubles, the exact
@@ -39,8 +39,8 @@ struct ReplayConfig {
 
     /// Runs whose converted uint32 image fits this budget are made fully
     /// resident during construction (validation already parses every frame,
-    /// so conversion rides along for free) — record() then serves pure span
-    /// lookups at template-source speed. Larger runs stream through a
+    /// so conversion rides along for free) — record_block() then serves
+    /// pure span lookups at template-source speed. Larger runs stream through a
     /// bounded slot ring sized by set_window(), converting frames on first
     /// touch as the window slides.
     std::size_t resident_cap_bytes = std::size_t{256} << 20;
@@ -74,7 +74,6 @@ public:
     std::uint64_t total_records() const override {
         return frames() * records_per_frame_;
     }
-    std::span<const std::uint32_t> record(std::uint64_t seq) override;
     std::span<const std::uint32_t> record_block(std::uint64_t seq,
                                                 std::size_t max_records) override;
     std::uint64_t release_ns(std::uint64_t seq) const override;

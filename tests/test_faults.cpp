@@ -15,6 +15,7 @@
 #include "pipeline/fpga.hpp"
 #include "pipeline/frame_io.hpp"
 #include "pipeline/hybrid.hpp"
+#include "telemetry/registry.hpp"
 #include "transform/enhanced.hpp"
 
 namespace htims::fault {
@@ -447,22 +448,46 @@ TEST(FaultedHybrid, SameSeedReproducesInjectionCountsExactly) {
               first.faults.injected_at(fault::Site::kLinkOverrun));
 }
 
+/// The period template released one record every `spacing_ns`: a paced
+/// link whose schedule leaves the consumer a wide margin.
+class SpacedTemplateSource final : public RecordSource {
+public:
+    SpacedTemplateSource(std::vector<std::uint32_t> period, const FrameLayout& layout,
+                         std::uint64_t frames, std::uint64_t spacing_ns)
+        : inner_(std::move(period), layout, frames, 1), spacing_ns_(spacing_ns) {}
+
+    std::uint64_t total_records() const override { return inner_.total_records(); }
+    std::span<const std::uint32_t> record_block(std::uint64_t seq,
+                                                std::size_t max_records) override {
+        return inner_.record_block(seq, max_records);
+    }
+    std::uint64_t release_ns(std::uint64_t seq) const override {
+        return seq * spacing_ns_;
+    }
+
+private:
+    PeriodTemplateSource inner_;
+    std::uint64_t spacing_ns_;
+};
+
 TEST(FaultedHybrid, DropOldestTimeoutDropsEachDisplacedRecordExactlyOnce) {
     // Regression: kDropOldest with ring_timeout_s grants a drop credit and
     // then the bounded push itself can expire, dropping the same record a
     // second time via the seq gap — the stale credit later discards a live
     // record that displaced nothing. The credit must be revoked on expiry.
     //
-    // Deterministic schedule: link jitter on every record paces the
-    // producer (>= 10us/record) so the link stays shallow while the
-    // consumer is live; the scheduled cpu.fail at frame 0's close then
-    // stalls the consumer for cpu_retry_backoff_s. During the stall the
-    // producer fills the 16-record link (seqs 32..47) and times out on each
-    // of seqs 48..61 — exactly 14 records, all in frame 1, each dropped
-    // exactly once. With the stale-credit bug the count doubles to 28.
+    // Deterministic schedule: the source releases one record every 5 ms
+    // (link jitter adds 10..80 us each), so the consumer keeps the link
+    // empty while it is live; the scheduled cpu.fail at frame 0's close
+    // then stalls the consumer for cpu_retry_backoff_s. During the stall
+    // the producer fills the 16-record link (seqs 32..47) and times out on
+    // each of seqs 48..61 — exactly 14 records, all in frame 1, each
+    // dropped exactly once. With the stale-credit bug the count doubles to
+    // 28. Tolerance: the link fills before the stall only if the consumer
+    // lags 16 x 5 ms = 80 ms behind the producer, and the timeouts outlast
+    // the 1.5 s stall only if the producer lags about 1.1 s.
     const prs::OversampledPrs seq(5, 1, prs::GateMode::kPulsed);  // 31 records
     const auto layout = small_layout(seq, 16);
-    std::vector<std::uint32_t> period(layout.cells(), 1);
     fault::FaultInjector faults(
         fault::FaultPlan::parse("seed=41,link.jitter=1,cpu.fail@0"));
     HybridConfig cfg;
@@ -477,7 +502,9 @@ TEST(FaultedHybrid, DropOldestTimeoutDropsEachDisplacedRecordExactlyOnce) {
     cfg.ring_timeout_s = 0.02;
     cfg.cpu_retry_backoff_s = 1.5;  // the deterministic consumer stall
     cfg.faults = &faults;
-    const auto report = HybridPipeline(seq, layout, period, cfg).run();
+    SpacedTemplateSource source(std::vector<std::uint32_t>(layout.cells(), 1),
+                                layout, cfg.frames, 5'000'000);
+    const auto report = HybridPipeline(seq, layout, source, cfg).run();
     EXPECT_EQ(report.frames, 2u);
     EXPECT_EQ(report.cpu_task_retries, 1u);
     EXPECT_EQ(report.records_dropped, 14u);
@@ -485,15 +512,17 @@ TEST(FaultedHybrid, DropOldestTimeoutDropsEachDisplacedRecordExactlyOnce) {
     // Every timed-out push is a real stall; the histogram must see them
     // too (the timeout exit used to skip hybrid.producer_stall_ns).
     EXPECT_GE(report.producer_stall_seconds, 14 * 0.02);
-    bool stall_histogram = false;
-    for (const auto& h : report.telemetry.histograms) {
-        if (h.name == "hybrid.producer_stall_ns") {
-            stall_histogram = true;
-            EXPECT_GE(h.summary.count, 14u);
+    auto& tel = telemetry::Registry::global();
+    if (telemetry::kCompiledIn && tel.enabled()) {
+        bool stall_histogram = false;
+        for (const auto& h : tel.snapshot().histograms) {
+            if (h.name == "hybrid.producer_stall_ns") {
+                stall_histogram = true;
+                EXPECT_GE(h.summary.count, 14u);
+            }
         }
+        EXPECT_TRUE(stall_histogram);
     }
-    EXPECT_EQ(stall_histogram,
-              telemetry::kCompiledIn && telemetry::Registry::global().enabled());
 }
 
 // --------------------------------------------- overlap under fault grid ----

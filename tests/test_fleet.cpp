@@ -3,10 +3,9 @@
 // The tentpole claim, pinned end to end: every stream of an N-stream fleet
 // produces frames bit-identical to the same configuration run solo through
 // HybridPipeline — across mixed CPU/FPGA backends, mixed live/replay record
-// sources, shared-pool worker counts {1, 2, 4} and inline decode (0),
-// dispatch backpressure, and per-stream fault plans (a faulted stream
-// degrades exactly as its solo twin; its neighbours' digests and counters
-// are untouched).
+// sources, shared-pool worker counts {1, 2, 4} and inline decode (0), and
+// per-stream fault plans (a faulted stream degrades exactly as its solo
+// twin; its neighbours' digests and counters are untouched).
 //
 // Satellite regressions ride along: two ordered-emission turnstiles driven
 // by one shared worker pool never cross-release frames, and the bounded
@@ -18,6 +17,8 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -33,6 +34,7 @@
 #include "prs/oversampled.hpp"
 #include "store/frame_store.hpp"
 #include "store/replay.hpp"
+#include "telemetry/report.hpp"
 
 namespace htims::pipeline {
 namespace {
@@ -160,7 +162,7 @@ struct FleetRun {
 };
 
 FleetRun run_fleet(std::size_t n, std::size_t workers,
-                   const ReplayFixture& replays, std::size_t dispatch_depth = 0) {
+                   const ReplayFixture& replays) {
     FleetRun run;
     run.digests.assign(n, std::vector<std::uint64_t>(kFleetFrames, 0));
     std::vector<std::unique_ptr<store::ReplaySource>> sources;
@@ -185,7 +187,6 @@ FleetRun run_fleet(std::size_t n, std::size_t workers,
     }
     FleetConfig fc;
     fc.decode_workers = workers;
-    fc.dispatch_depth = dispatch_depth;
     FleetRunner runner(std::move(streams), fc);
     EXPECT_EQ(runner.stream_count(), n);
     run.report = runner.run();
@@ -221,18 +222,6 @@ TEST(FleetParity, DigestMatrixMatchesSoloRuns) {
             }
             EXPECT_EQ(run.report.frames, n * kFleetFrames);
         }
-    }
-}
-
-TEST(FleetParity, DispatchBackpressureIsBitIdentical) {
-    // dispatch_depth=1 forces every enqueue through the queue-full retry
-    // path; backpressure is a perf event, never a correctness event.
-    const ReplayFixture replays(4);
-    for (std::size_t si = 0; si < 4; ++si) {
-        const auto solo = solo_digests(si, replays);
-        SCOPED_TRACE("stream " + std::to_string(si));
-        const auto run = run_fleet(4, 2, replays, /*dispatch_depth=*/1);
-        EXPECT_EQ(run.digests[si], solo);
     }
 }
 
@@ -346,11 +335,40 @@ TEST(FleetReportJson, CarriesAggregateAndPerStreamLatency) {
     EXPECT_EQ(run.report.samples,
               2 * kFleetFrames * kFleetAverages * fleet_layout().cells());
 
-    const std::string json = fleet_report_json(run.report);
-    EXPECT_NE(json.find("htims.fleet.v1"), std::string::npos);
-    EXPECT_NE(json.find("\"streams\""), std::string::npos);
-    EXPECT_NE(json.find("p99"), std::string::npos);
-    EXPECT_NE(json.find("frame_latency_ns"), std::string::npos);
+    // The fleet report rides in the one run-report schema as scalars: the
+    // aggregate figures, then each stream's, each latency as 7 figures.
+    telemetry::RunMeta meta;
+    append_fleet_scalars(meta, run.report, "fleet");
+    std::vector<std::string> expected;
+    const auto add_keys = [&expected](const std::string& key,
+                                      std::initializer_list<const char*> fields) {
+        for (const char* f : fields) expected.push_back(key + "." + f);
+        for (const char* f : {"count", "min", "max", "mean", "p50", "p95", "p99"})
+            expected.push_back(key + ".frame_latency_ns." + f);
+    };
+    add_keys("fleet", {"streams", "wall_seconds", "frames", "samples",
+                       "sample_rate", "records_dropped", "frames_degraded"});
+    for (const std::string stream : {"fleet.stream0", "fleet.stream1"})
+        add_keys(stream, {"frames", "samples", "wall_seconds", "sample_rate",
+                          "records_dropped", "frames_degraded", "cpu_task_retries",
+                          "producer_stall_seconds", "consumer_idle_seconds",
+                          "decode_wait_seconds"});
+    std::vector<std::string> keys;
+    std::map<std::string, double> value;
+    for (const auto& [key, v] : meta.scalars) {
+        keys.push_back(key);
+        value[key] = v;
+    }
+    EXPECT_EQ(keys, expected);
+    EXPECT_EQ(value["fleet.streams"], 2.0);
+    EXPECT_EQ(value["fleet.frames"], static_cast<double>(2 * kFleetFrames));
+    EXPECT_EQ(value["fleet.frame_latency_ns.count"],
+              static_cast<double>(2 * kFleetFrames));
+    EXPECT_EQ(value["fleet.frame_latency_ns.p99"], run.report.frame_latency.p99);
+    EXPECT_EQ(value["fleet.stream1.samples"],
+              static_cast<double>(run.report.streams[1].report.samples));
+    EXPECT_EQ(value["fleet.stream1.frame_latency_ns.count"],
+              static_cast<double>(kFleetFrames));
 }
 
 // --------------------------------------------------- turnstile regression ----

@@ -499,8 +499,8 @@ TEST(RaceHybrid, MultiWorkerFpgaDecodeChurnsCleanly) {
 // A fleet multiplies the thread census: per-stream producers and consumers,
 // the shared MPMC dispatch queue, the worker pool, and per-stream turnstile
 // and free-pool traffic all start and stop together. These tests keep every
-// one of those edges contended (shallow rings, shallow dispatch) so the
-// TSan stage watches the fleet's full protocol surface under load.
+// one of those edges contended (shallow rings, a full dispatch queue) so
+// the TSan stage watches the fleet's full protocol surface under load.
 
 htims::pipeline::FleetStream race_fleet_stream(std::size_t si,
                                                std::size_t frames) {
@@ -539,19 +539,22 @@ TEST(RaceFleet, StartStopChurnWithMixedBackends) {
 }
 
 TEST(RaceFleet, DispatchQueueFullKeepsEveryStreamCompleting) {
-    // dispatch_depth=1 makes the shared queue a single slot: consumers spin
-    // on queue-full while workers race to drain, so the ticket recycle path
-    // and the backpressure wait run constantly on every stream at once.
+    // Many CPU streams, one worker: each CPU consumer can queue all of its
+    // decode buffers at once and a single worker drains slowly, so the
+    // queue runs at its fullest — every stream's buffers queued — while
+    // the ticket recycle path runs constantly. The queue must hold them
+    // all; a consumer that met a full queue would stall.
     for (int round = 0; round < 3; ++round) {
         std::vector<htims::pipeline::FleetStream> streams;
-        for (std::size_t si = 0; si < 3; ++si)
-            streams.push_back(race_fleet_stream(si, 4));
+        for (std::size_t si = 0; si < 4; ++si) {
+            streams.push_back(race_fleet_stream(si, 6));
+            streams.back().config.backend = htims::pipeline::BackendKind::kCpu;
+        }
         htims::pipeline::FleetConfig fc;
-        fc.decode_workers = 2;
-        fc.dispatch_depth = 1;
+        fc.decode_workers = 1;
         const auto report =
             htims::pipeline::FleetRunner(std::move(streams), fc).run();
-        for (const auto& s : report.streams) EXPECT_EQ(s.report.frames, 4u);
+        for (const auto& s : report.streams) EXPECT_EQ(s.report.frames, 6u);
     }
 }
 

@@ -372,8 +372,8 @@ TEST(StoreReplay, ResidentAndWindowedModesServeIdenticalRecords) {
 
     ASSERT_EQ(resident.total_records(), windowed.total_records());
     for (std::uint64_t seq = 0; seq < resident.total_records(); ++seq) {
-        const auto a = resident.record(seq);
-        const auto b = windowed.record(seq);
+        const auto a = resident.record_block(seq, 1);
+        const auto b = windowed.record_block(seq, 1);
         ASSERT_EQ(a.size(), b.size());
         EXPECT_EQ(0, std::memcmp(a.data(), b.data(),
                                  a.size() * sizeof(std::uint32_t)))
