@@ -12,7 +12,8 @@
 //   fan-out       K threads scanning the same FrameStoreReader concurrently
 //   replay        a full hybrid-pipeline run fed by ReplaySource, compared
 //                 against the identical live run fed by the period template
-//                 (digests must match bit for bit; rate should too)
+//                 (digests must match bit for bit; rates are compared over
+//                 alternating pairs)
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
@@ -136,49 +137,43 @@ int main() {
     hcfg.frame_sink = [&](std::size_t, const pipeline::Frame& f) {
         live_digests.push_back(pipeline::frame_digest(f));
     };
-    double live_rate = 0.0;
-    {
-        pipeline::HybridPipeline live(seq, layout, period, hcfg);
-        live_rate = live.run().sample_rate;
-    }
+    (void)pipeline::HybridPipeline(seq, layout, period, hcfg).run();
     hcfg.frame_sink = [&](std::size_t, const pipeline::Frame& f) {
         replay_digests.push_back(pipeline::frame_digest(f));
     };
-    store::ReplaySource source(reader, store::ReplayConfig{0.0});
-    double replay_rate = 0.0;
     {
-        pipeline::HybridPipeline replay(seq, layout, source, hcfg);
-        replay_rate = replay.run().sample_rate;
+        store::ReplaySource source(reader, store::ReplayConfig{0.0});
+        (void)pipeline::HybridPipeline(seq, layout, source, hcfg).run();
     }
     const bool digests_match = live_digests == replay_digests;
-    const double replay_vs_live =
-        live_rate > 0.0 ? replay_rate / live_rate : 0.0;
+    hcfg.frame_sink = nullptr;
 
-    // Batch-transport ablation: the unpaced replay with the default staging
-    // batch against the batch forced to one record. ReplaySource::
-    // record_block hands the producer whole drift rows, so batch_x is the
-    // ingest gain the span-granular ring protocol buys when serving from
-    // the store. Both sides run without a frame sink, in kPairs pairs that
-    // alternate which side goes first; batch_x is the median pair ratio.
+    // Replay vs live ingest: the unpaced replay against the live template
+    // stream, both without a frame sink, in kPairs pairs that alternate
+    // which side goes first. Each run is a few milliseconds, so a single
+    // pair says little; vs_live_x is the median pair ratio and each side's
+    // rate its median.
     constexpr std::size_t kPairs = 15;
-    std::vector<double> rates[2];  // batched, per-record
+    std::vector<double> rates[2];  // live, replay
     std::vector<double> pair_x;
     for (std::size_t pair = 0; pair < kPairs; ++pair) {
         for (std::size_t k = 0; k < 2; ++k) {
             const std::size_t side = (pair + k) % 2;
-            pipeline::HybridConfig pcfg = hcfg;
-            pcfg.frame_sink = nullptr;
-            if (side == 1) pcfg.batch_records = 1;
-            store::ReplaySource pair_source(reader, store::ReplayConfig{0.0});
-            pipeline::HybridPipeline replay(seq, layout, pair_source, pcfg);
-            rates[side].push_back(replay.run().sample_rate);
+            if (side == 0) {
+                pipeline::HybridPipeline live(seq, layout, period, hcfg);
+                rates[0].push_back(live.run().sample_rate);
+            } else {
+                store::ReplaySource pair_source(reader, store::ReplayConfig{0.0});
+                pipeline::HybridPipeline replay(seq, layout, pair_source, hcfg);
+                rates[1].push_back(replay.run().sample_rate);
+            }
         }
-        pair_x.push_back(rates[0].back() / rates[1].back());
+        pair_x.push_back(rates[1].back() / rates[0].back());
     }
-    const double batched_rate = percentile(rates[0], 50.0);
-    const double per_record_rate = percentile(rates[1], 50.0);
-    const double replay_batch_x = percentile(pair_x, 50.0);
-    const auto [batch_x_min, batch_x_max] =
+    const double live_rate = percentile(rates[0], 50.0);
+    const double replay_rate = percentile(rates[1], 50.0);
+    const double replay_vs_live = percentile(pair_x, 50.0);
+    const auto [vs_live_min, vs_live_max] =
         std::minmax_element(pair_x.begin(), pair_x.end());
 
     // Same run with the resident cache disabled (cap 0): frames convert on
@@ -189,9 +184,7 @@ int main() {
         store::ReplayConfig wcfg;
         wcfg.resident_cap_bytes = 0;
         store::ReplaySource windowed(reader, wcfg);
-        pipeline::HybridConfig pcfg = hcfg;
-        pcfg.frame_sink = nullptr;
-        pipeline::HybridPipeline replay(seq, layout, windowed, pcfg);
+        pipeline::HybridPipeline replay(seq, layout, windowed, hcfg);
         windowed_rate = replay.run().sample_rate;
     }
 
@@ -201,9 +194,7 @@ int main() {
     store::ReplaySource paced(reader, store::ReplayConfig{8.0});
     double paced_x = 0.0;
     {
-        pipeline::HybridConfig pcfg = hcfg;
-        pcfg.frame_sink = nullptr;
-        pipeline::HybridPipeline replay(seq, layout, paced, pcfg);
+        pipeline::HybridPipeline replay(seq, layout, paced, hcfg);
         const auto report = replay.run();
         const double recorded_s =
             static_cast<double>(frames * averages) * layout.period_s();
@@ -216,17 +207,13 @@ int main() {
     std::cout << "store: " << format_double(store_mb, 2) << " MB, "
               << reader.frames() << " frames, indexed "
               << (reader.indexed() ? "yes" : "no") << "\n"
-              << "replay vs live ingest: "
+              << "replay vs live ingest, medians of " << kPairs << " pairs: "
               << format_double(replay_rate / 1e6, 2) << " vs "
-              << format_double(live_rate / 1e6, 2) << " Msamples/s (x"
-              << format_double(replay_vs_live, 2) << "), digests "
+              << format_double(live_rate / 1e6, 2) << " Msamples/s, x"
+              << format_double(replay_vs_live, 2) << " ["
+              << format_double(*vs_live_min, 2) << "-"
+              << format_double(*vs_live_max, 2) << "]; digests "
               << (digests_match ? "MATCH" : "MISMATCH") << "\n"
-              << "batch ablation, medians of " << kPairs << " pairs: batched "
-              << format_double(batched_rate / 1e6, 2) << " vs per-record "
-              << "(batch_records=1) " << format_double(per_record_rate / 1e6, 2)
-              << " Msamples/s, batch_x " << format_double(replay_batch_x, 2)
-              << " [" << format_double(*batch_x_min, 2) << "-"
-              << format_double(*batch_x_max, 2) << "]\n"
               << "windowed replay (no resident cache): "
               << format_double(windowed_rate / 1e6, 2) << " Msamples/s\n"
               << "paced replay (asked x8.00): achieved x"
@@ -238,13 +225,11 @@ int main() {
     meta.scalars.emplace_back("scan.cold_seconds", cold_s);
     meta.scalars.emplace_back("scan.warm_seconds", warm_s);
     meta.scalars.emplace_back("replay.sample_rate", replay_rate);
-    meta.scalars.emplace_back("replay.per_record_sample_rate", per_record_rate);
-    meta.scalars.emplace_back("replay.batch_x", replay_batch_x);
-    meta.scalars.emplace_back("replay.batch_x_min", *batch_x_min);
-    meta.scalars.emplace_back("replay.batch_x_max", *batch_x_max);
     meta.scalars.emplace_back("replay.windowed_sample_rate", windowed_rate);
     meta.scalars.emplace_back("live.sample_rate", live_rate);
     meta.scalars.emplace_back("replay.vs_live_x", replay_vs_live);
+    meta.scalars.emplace_back("replay.vs_live_x_min", *vs_live_min);
+    meta.scalars.emplace_back("replay.vs_live_x_max", *vs_live_max);
     meta.scalars.emplace_back("replay.digests_match",
                               digests_match ? 1.0 : 0.0);
     meta.scalars.emplace_back("replay.paced_x_achieved", paced_x);

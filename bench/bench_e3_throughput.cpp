@@ -102,9 +102,9 @@ int main() {
         (void)wide.end_frame();
         const double wide_rate = wide.sustained_sample_rate(averages);
 
-        // CPU backend, batched (default) vs forced-scalar: same frame, same
-        // thread pool size, so cpu_batch_x is the end-to-end gain of the
-        // tiled SIMD decode path alone.
+        // CPU backend, batched (default) vs the scalar oracle: same frame,
+        // same thread pool size, so cpu_batch_x is the end-to-end gain of
+        // the tiled SIMD decode path alone.
         pipeline::CpuBackend cpu(seq, layout, 0);
         double best = 0.0;
         for (int rep = 0; rep < 3; ++rep) {
@@ -112,10 +112,9 @@ int main() {
             best = std::max(best, cpu.sustained_sample_rate(averages));
         }
         pipeline::CpuBackend cpu_scalar(seq, layout, 0);
-        cpu_scalar.set_batch_lanes(1);
         double best_scalar = 0.0;
         for (int rep = 0; rep < 3; ++rep) {
-            (void)cpu_scalar.deconvolve(raw);
+            (void)cpu_scalar.deconvolve_scalar(raw);
             best_scalar =
                 std::max(best_scalar, cpu_scalar.sustained_sample_rate(averages));
         }
@@ -145,10 +144,9 @@ int main() {
 
     // Hybrid streaming section: producer → SPSC ring → CPU backend, the
     // paper's actual deployment shape. Every case streams the same 128
-    // frames: inline decode, 1/2/4 decode workers (overlap_x = their rate
-    // over inline, the gain of decoding frame k on a worker while frame k+1
-    // streams in), and 1 worker with per-record transport (batch_x = the
-    // batched 1-worker rate over it). Each round runs every case once, in
+    // frames: inline decode and 1/2/4 decode workers (overlap_x = their
+    // rate over inline, the gain of decoding frame k on a worker while
+    // frame k+1 streams in). Each round runs every case once, in
     // alternating order, and each ratio is taken within a round; the report
     // carries each ratio's median and min-max over the rounds, plus ring
     // occupancy, stall/idle, and decode latency histograms.
@@ -165,11 +163,9 @@ int main() {
         struct HybridCase {
             const char* name;
             std::size_t workers;
-            std::size_t batch_records;
         };
         const std::vector<HybridCase> cases{
-            {"inline", 0, 32}, {"w1", 1, 32}, {"w2", 2, 32}, {"w4", 4, 32},
-            {"w1_per_record", 1, 1}};
+            {"inline", 0}, {"w1", 1}, {"w2", 2}, {"w4", 4}};
         std::vector<std::vector<double>> rates(cases.size());
         for (std::size_t round = 0; round < kRounds; ++round) {
             for (std::size_t k = 0; k < cases.size(); ++k) {
@@ -180,7 +176,6 @@ int main() {
                 hcfg.averages = 4;
                 hcfg.ring_records = 64;
                 hcfg.decode_workers = cases[c].workers;
-                hcfg.batch_records = cases[c].batch_records;
                 pipeline::HybridPipeline hybrid(seq, layout, period, hcfg);
                 rates[c].push_back(hybrid.run().sample_rate);
             }
@@ -211,15 +206,12 @@ int main() {
         add_ratio("overlap_x", 1, 0);
         add_ratio("overlap_x_w2", 2, 0);
         add_ratio("overlap_x_w4", 3, 0);
-        add_ratio("batch_x", 1, 4);
         ratios.print(std::cout);
 
         // Real-time factors are these over order8_ovs2.instrument_rate.
         meta.scalars.emplace_back("hybrid.sample_rate", percentile(rates[0], 50.0));
         meta.scalars.emplace_back("hybrid.overlap_sample_rate",
                                   percentile(rates[1], 50.0));
-        meta.scalars.emplace_back("hybrid.per_record_sample_rate",
-                                  percentile(rates[4], 50.0));
     }
 
     bench::write_report("BENCH_E3.json", meta, /*print_tables=*/true);

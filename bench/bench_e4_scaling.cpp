@@ -49,14 +49,13 @@ int main() {
             (void)cpu.deconvolve(raw);
             best = std::min(best, cpu.last_seconds());
         }
-        // Forced-scalar decode at the same thread count: batch_x isolates the
-        // SIMD tile path's contribution at every point of the scaling curve
-        // (thread scaling and lane batching are orthogonal axes).
+        // Scalar-oracle decode at the same thread count: batch_x isolates
+        // the SIMD tile path's contribution at every point of the scaling
+        // curve (thread scaling and lane batching are orthogonal axes).
         pipeline::CpuBackend cpu_scalar(seq, layout, threads);
-        cpu_scalar.set_batch_lanes(1);
         double best_scalar = 1e9;
         for (int rep = 0; rep < 3; ++rep) {
-            (void)cpu_scalar.deconvolve(raw);
+            (void)cpu_scalar.deconvolve_scalar(raw);
             best_scalar = std::min(best_scalar, cpu_scalar.last_seconds());
         }
         if (threads == 1) t1 = best;

@@ -8,7 +8,7 @@
 //
 //   1. the run completes every configured frame without aborting;
 //   2. drops are exactly accounted: records_dropped matches the injected
-//      link overruns (DropOldest policy, link deeper than the stream);
+//      link overruns (DropNewest policy, link deeper than the stream);
 //   3. a second run of the same plan reproduces the injection counts and
 //      degradation figures bit-for-bit (seed determinism end to end);
 //   4. the frame_io corruption loop detects-or-recovers every injected
@@ -54,8 +54,6 @@ pipeline::HybridReport run_hybrid(const fault::FaultPlan& plan) {
     // fault-forced, so drops are exactly the injected overruns. DropNewest
     // keeps the drill fully deterministic: the dropped record *is* the
     // forced one, so the degraded-frame set reproduces from the seed.
-    // (DropOldest drops whatever is oldest in the queue at credit time —
-    // deliberately a function of link state, not only of the seed.)
     cfg.ring_records = 2048;
     cfg.ring_policy = pipeline::RingFullPolicy::kDropNewest;
     cfg.cpu_retry_backoff_s = 0.0;

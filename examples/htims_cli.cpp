@@ -47,8 +47,6 @@ void usage() {
         "  --decode-workers N    decode worker threads for the hybrid runs,\n"
         "                        --record and --replay included (default 0 =\n"
         "                        decode inline; results identical)\n"
-        "  --batch N             producer staging batch in records for the\n"
-        "                        hybrid runs (default 32; 1 = per-record)\n"
         "  --record PATH         stream the acquired frame through the hybrid\n"
         "                        pipeline and persist the run in an mmap frame\n"
         "                        store (replayable with --replay)\n"
@@ -95,7 +93,6 @@ int main(int argc, char** argv) {
     bool analyze = false;
     std::size_t analyze_dim = 4096;
     std::size_t decode_workers = pipeline::HybridConfig{}.decode_workers;
-    std::size_t batch_records = pipeline::HybridConfig{}.batch_records;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -150,8 +147,6 @@ int main(int argc, char** argv) {
                     arg.substr(std::string("--analyze=").size()).c_str()));
         } else if (arg == "--decode-workers") {
             decode_workers = static_cast<std::size_t>(std::atoll(next().c_str()));
-        } else if (arg == "--batch") {
-            batch_records = static_cast<std::size_t>(std::atoll(next().c_str()));
         } else if (arg == "--fleet" || arg.rfind("--fleet=", 0) == 0) {
             fleet_spec = arg == "--fleet"
                              ? next()
@@ -284,7 +279,6 @@ int main(int argc, char** argv) {
             hcfg.averages = cfg.acquisition.averages;
             hcfg.cpu_threads = cfg.cpu_threads;
             hcfg.fpga = cfg.fpga;
-            hcfg.batch_records = batch_records;
             const auto period = pipeline::to_period_samples(
                 run.acquisition.raw, cfg.acquisition.averages);
             pipeline::HybridPipeline sync_pipe(simulator.engine().sequence(),
@@ -342,7 +336,6 @@ int main(int argc, char** argv) {
                 hcfg.averages = cfg.acquisition.averages;
                 hcfg.cpu_threads = 1;
                 hcfg.fpga = cfg.fpga;
-                hcfg.batch_records = batch_records;
                 hcfg.analysis = stage.get();  // nullptr unless --analyze
                 streams.push_back(pipeline::FleetStream{
                     simulator.engine().sequence(), simulator.layout(), hcfg,
@@ -394,7 +387,6 @@ int main(int argc, char** argv) {
             hcfg.averages = cfg.acquisition.averages;
             hcfg.cpu_threads = cfg.cpu_threads;
             hcfg.fpga = cfg.fpga;
-            hcfg.batch_records = batch_records;
             hcfg.decode_workers = decode_workers;
             std::vector<std::uint64_t> digests;
             hcfg.frame_sink = [&](std::size_t, const pipeline::Frame& f) {

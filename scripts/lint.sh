@@ -34,7 +34,11 @@
 #                  line. Lock-free code does not get added to this repo
 #                  silently: either it is documented (and thereby a
 #                  candidate for a model-checking litmus unit), or it says
-#                  in-line why it is exempt.
+#                  in-line why it is exempt. The check also runs the
+#                  other way: every file the table lists must exist and
+#                  still hold an atomic (the word `atomic` in its code,
+#                  `#include <atomic>` aside), so a protocol that was
+#                  deleted cannot leave a stale row behind.
 #
 # Usage: scripts/lint.sh [--no-tidy] [--no-werror] [--no-rules]
 set -uo pipefail
@@ -172,6 +176,19 @@ if [[ "$run_rules" == 1 ]]; then
         done < <(decomment "$f" | grep -n 'std::atomic' | cut -d: -f1)
     done < <(find src -name '*.cpp' -o -name '*.hpp' |
              grep -vE '^src/(common|check)/' | sort)
+    # ...and the reverse: each row's file exists and still holds an atomic.
+    while IFS= read -r f; do
+        if [[ ! -f "$f" ]]; then
+            echo "rule violation (DESIGN.md concurrency inventory lists a" \
+                 "missing file): $f"
+            rules_bad=1
+        elif ! decomment "$f" | grep -v '^[[:space:]]*#[[:space:]]*include[[:space:]]*<atomic>' |
+               grep 'atomic' > /dev/null; then  # not -q: pipefail + SIGPIPE
+            echo "rule violation (DESIGN.md concurrency inventory lists a" \
+                 "file with no atomic left): $f"
+            rules_bad=1
+        fi
+    done < <(sed -n 's/^| `\([^`]*\)` |.*/\1/p' <<< "$inventory")
 
     if [[ "$rules_bad" == 0 ]]; then
         stage rules PASS

@@ -15,13 +15,9 @@ namespace htims::pipeline {
 
 CpuBackend::CpuBackend(const prs::OversampledPrs& sequence, const FrameLayout& layout,
                        std::size_t threads)
-    : decon_(sequence), layout_(layout), pool_(threads), lanes_(htims::batch_lanes()) {
+    : decon_(sequence), layout_(layout), pool_(threads) {
     if (layout.drift_bins != sequence.length())
         throw ConfigError("frame drift bins must equal the sequence fine-grid length");
-}
-
-void CpuBackend::set_batch_lanes(std::size_t lanes) {
-    lanes_ = lanes == 0 ? htims::batch_lanes() : lanes;
 }
 
 void CpuBackend::set_faults(fault::FaultInjector* faults, int max_retries,
@@ -34,7 +30,7 @@ void CpuBackend::set_faults(fault::FaultInjector* faults, int max_retries,
 }
 
 Frame CpuBackend::deconvolve(const Frame& raw, Frame reuse) {
-    if (faults_ == nullptr) return run(raw, lanes_, std::move(reuse));
+    if (faults_ == nullptr) return run(raw, htims::batch_lanes(), std::move(reuse));
     // A fired kCpuFault models a transient task failure (lost worker, ECC
     // retry, preempted node): the attempt is abandoned and retried after an
     // exponential backoff. The injector's per-site event counter advances
@@ -54,7 +50,7 @@ Frame CpuBackend::deconvolve(const Frame& raw, Frame reuse) {
         if (backoff > 0.0)
             std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
     }
-    return run(raw, lanes_, std::move(reuse));
+    return run(raw, htims::batch_lanes(), std::move(reuse));
 }
 
 Frame CpuBackend::deconvolve_scalar(const Frame& raw) { return run(raw, 1); }

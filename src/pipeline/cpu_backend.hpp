@@ -15,8 +15,7 @@
 //    register wide (common/simd.hpp picks L and the kernel tier at
 //    runtime). Channels beyond the last full tile take the scalar path.
 //  * scalar — the original one-channel-at-a-time decode, kept as the
-//    reference oracle and for A/B benchmarking (deconvolve_scalar, or
-//    set_batch_lanes(1)).
+//    reference oracle and for A/B benchmarking (deconvolve_scalar).
 #pragma once
 
 #include <atomic>
@@ -45,12 +44,6 @@ public:
     const FrameLayout& layout() const { return layout_; }
     std::size_t threads() const { return pool_.size(); }
 
-    /// Lanes per tile of the batched path (1 = batching disabled).
-    std::size_t batch_lanes() const { return lanes_; }
-    /// Override the tile width: 0 restores the machine default
-    /// (htims::batch_lanes()), 1 forces the scalar path.
-    void set_batch_lanes(std::size_t lanes);
-
     /// Attach a fault injector for transient decode-task failures
     /// (fault::Site::kCpuFault). A firing fault makes the next deconvolve()
     /// attempt fail transiently; the backend retries with exponential
@@ -65,10 +58,10 @@ public:
     }
 
     /// Deconvolve every m/z channel of `raw`; returns the drift-domain
-    /// frame. Uses the batched tile path unless batch_lanes() == 1. A
-    /// spent frame of this layout passed as `reuse` lends its storage to
-    /// the result (every cell is overwritten), sparing a frame-sized
-    /// allocation and its page faults per decode.
+    /// frame. Uses the batched tile path, htims::batch_lanes() channels per
+    /// tile. A spent frame of this layout passed as `reuse` lends its
+    /// storage to the result (every cell is overwritten), sparing a
+    /// frame-sized allocation and its page faults per decode.
     ///
     /// Thread safety: one deconvolve at a time, but the calling thread may
     /// change between calls (the streaming engine decodes on the consumer
@@ -76,7 +69,7 @@ public:
     /// stats below are synchronized so any thread reads consistent values.
     Frame deconvolve(const Frame& raw, Frame reuse = {});
 
-    /// Reference path: one channel at a time, regardless of batch_lanes().
+    /// Reference path: one channel at a time, on the same thread pool.
     Frame deconvolve_scalar(const Frame& raw);
 
     /// Wall time of the last deconvolve() call (seconds).
@@ -108,7 +101,6 @@ private:
     transform::EnhancedDeconvolver decon_;
     FrameLayout layout_;
     ThreadPool pool_;
-    std::size_t lanes_;
     mutable std::mutex stats_mutex_;  ///< guards the decode-time stats
     double last_seconds_ = 0.0;
     double total_seconds_ = 0.0;

@@ -133,7 +133,6 @@ struct StreamState {
     OrderTurnstile<> turnstile;
     FreeList free_list;  ///< pool mode only
     StreamShard shard;
-    alignas(kCacheLine) std::atomic<std::uint64_t> drop_credits{0};
 
     // Producer-thread-owned.
     double producer_stall_s = 0.0;
@@ -197,12 +196,8 @@ void validate_stream(const FleetStream& stream, std::size_t decode_workers,
     const auto& cfg = stream.config;
     if (cfg.frames == 0 || cfg.averages == 0)
         throw ConfigError(who + " needs frames >= 1 and averages >= 1");
-    if (cfg.ring_timeout_s < 0.0)
-        throw ConfigError(who + ": ring_timeout_s cannot be negative");
     if (cfg.cpu_max_retries < 0)
         throw ConfigError(who + ": cpu_max_retries cannot be negative");
-    if (cfg.batch_records == 0)
-        throw ConfigError(who + ": batch_records must be >= 1");
     if (decode_workers > 0 && cfg.decode_buffers < 2)
         throw ConfigError(who + ": decode workers need decode_buffers >= 2");
     if (stream.layout.mz_bins == 0 || stream.layout.drift_bins == 0)
@@ -306,12 +301,10 @@ FleetReport FleetRunner::run() {
             records_per_period;
         HTIMS_CHECK(spec.source->total_records() == records_total,
                     "record source matches the configured stream");
-        // Batch sizing: the producer stages up to batch_cap records per ring
-        // publication and the consumer pops the same amount per protocol
-        // round trip. batch_records = 1 restores the per-record transport
-        // exactly — including its backpressure granularity.
-        const std::size_t batch_cap = std::max<std::size_t>(
-            1, std::min(cfg.batch_records, st->ring.capacity()));
+        // The producer stages up to batch_cap records per ring publication
+        // and the consumer pops the same amount per protocol round trip.
+        const std::size_t batch_cap =
+            std::min(kLinkBatchRecords, st->ring.capacity());
         // Ring capacity + the producer's staged batch + the consumer's
         // popped batch + the blocks in either thread's hands: the most
         // record spans ever outstanding at once.
@@ -324,7 +317,6 @@ FleetReport FleetRunner::run() {
                               cfg.frames,
                               batch_cap,
                               cfg.ring_policy,
-                              cfg.ring_timeout_s,
                               cfg.faults};
 
         if (cfg.backend == BackendKind::kFpga || workers_n == 0)
@@ -405,7 +397,7 @@ FleetReport FleetRunner::run() {
                 // capture_frame recycles.
                 DispatchJob job{st->id, 0, 0, {}, {}};
                 consume_stream(
-                    st->ring, st->link, st->drop_credits, st->totals,
+                    st->ring, st->link, st->totals,
                     [&](const Block& block) {
                         if (down) return;
                         fpga.push_samples(std::span(block.data, block.size));
@@ -427,7 +419,7 @@ FleetReport FleetRunner::run() {
                 const std::size_t records_per_period =
                     st->link.records_per_period;
                 consume_stream(
-                    st->ring, st->link, st->drop_credits, st->totals,
+                    st->ring, st->link, st->totals,
                     [&](const Block& block) {
                         if (down) return;  // the frame was handed off
                         const std::size_t record_in_period =
@@ -471,8 +463,8 @@ FleetReport FleetRunner::run() {
     producers.reserve(n);
     for (auto& stp : states) {
         producers.emplace_back([st = stp.get()] {
-            st->producer_stall_s = produce_stream(st->ring, *st->spec.source,
-                                                  st->link, st->drop_credits);
+            st->producer_stall_s =
+                produce_stream(st->ring, *st->spec.source, st->link);
         });
     }
     std::vector<std::thread> consumers;
@@ -585,8 +577,8 @@ FleetReport FleetRunner::run() {
         const auto& cfg = st.spec.config;
         // Lossless-handoff postconditions per stream, degraded-mode aware:
         // the ring fully drained, every configured frame was closed and
-        // emitted once, and nothing was dropped unless a drop policy or an
-        // injected fault was in play.
+        // emitted once, and nothing was dropped unless the stream runs
+        // DropNewest (under Block a forced overrun waits like a full ring).
         HTIMS_CHECK(st.ring.empty(), "stream fully drained at end of run");
         HTIMS_CHECK(st.totals.frames_closed == cfg.frames,
                     "every configured frame of every stream was closed");
@@ -594,9 +586,8 @@ FleetReport FleetRunner::run() {
                         cfg.frames,
                     "every closed frame was decoded and emitted exactly once");
         HTIMS_CHECK(st.totals.records_dropped == 0 ||
-                        cfg.ring_policy != RingFullPolicy::kBlock ||
-                        cfg.ring_timeout_s > 0.0 || cfg.faults != nullptr,
-                    "unbounded Block policy without faults never drops records");
+                        cfg.ring_policy != RingFullPolicy::kBlock,
+                    "Block policy never drops records");
 
         FleetStreamReport sr;
         HybridReport& r = sr.report;

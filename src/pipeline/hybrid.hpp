@@ -15,13 +15,13 @@
 //
 // Degraded-mode operation: a real instrument run cannot abort mid-gradient
 // because the link briefly outran the decoder. The ring-full policy decides
-// what the producer does when the link is saturated (block as before, drop
-// the arriving record, or sacrifice the oldest queued record), records are
-// sequence-tagged so the consumer closes every configured frame even when
-// records were lost, and an optional FaultInjector drives deterministic
-// link jitter / forced-overrun / transient-CPU-failure scenarios. Every
-// drop is counted (hybrid.records_dropped, hybrid.frames_degraded) and
-// surfaced in the HybridReport next to the injector's own counts.
+// what the producer does when the link is saturated (wait for space, or
+// drop the arriving record), records are sequence-tagged so the consumer
+// closes every configured frame even when records were lost, and an
+// optional FaultInjector drives deterministic link jitter / forced-overrun
+// / transient-CPU-failure scenarios. Every drop is counted
+// (hybrid.records_dropped, hybrid.frames_degraded) and surfaced in the
+// HybridReport next to the injector's own counts.
 //
 // Decode workers (decode_workers): with 0, the default, the consumer
 // deconvolves each closed frame inline, so ring pops pause for the decode
@@ -32,12 +32,13 @@
 // concurrently but emit through a sequence-ordered turnstile, so results
 // still complete in frame order, bit-identical to inline decode.
 //
-// Batch transport (batch_records): the producer stages up to a frame's
-// worth of consecutive records and publishes them with one ring operation,
-// and the consumer pops in batches — the acquire/release protocol cost is
-// paid per span instead of per ~32-byte record. Pacing, fault-injection
-// event order, and ring-full policy semantics are all per record exactly as
-// before: paced or faulted records take the one-at-a-time path.
+// Batch transport: the producer stages up to kLinkBatchRecords (32)
+// consecutive records of one frame, clamped to the ring depth, and
+// publishes them with one ring operation, and the consumer pops in batches
+// of the same size — the acquire/release protocol cost is paid per span
+// instead of per ~32-byte record. Pacing, fault-injection event order, and
+// ring-full policy semantics are per record: paced or faulted records take
+// the one-at-a-time path.
 #pragma once
 
 #include <cstdint>
@@ -129,9 +130,8 @@ private:
 
 /// What the producer does when a record arrives at a full ring.
 enum class RingFullPolicy {
-    kBlock,       ///< wait for space (optionally bounded by ring_timeout_s)
+    kBlock,       ///< wait for space; never drops
     kDropNewest,  ///< discard the arriving record
-    kDropOldest,  ///< discard the oldest queued record, keep the new one
 };
 
 /// Hybrid run parameters.
@@ -140,15 +140,10 @@ struct HybridConfig {
     std::size_t frames = 8;         ///< frames to stream
     std::size_t averages = 1;       ///< periods accumulated per frame
     std::size_t ring_records = 256; ///< link depth, in TOF records
-    std::size_t batch_records = 32; ///< records staged per ring publication
-                                    ///< (clamped to the ring depth; 1 =
-                                    ///< per-record transport as before)
     std::size_t cpu_threads = 0;    ///< CPU backend worker count (0 = auto)
     FpgaConfig fpga{};              ///< FPGA model parameters
 
     RingFullPolicy ring_policy = RingFullPolicy::kBlock;
-    double ring_timeout_s = 0.0;    ///< kBlock: max wait per record (0 = forever);
-                                    ///< on expiry the record is dropped
     int cpu_max_retries = 4;        ///< retry budget for transient CPU faults
     double cpu_retry_backoff_s = 50e-6;  ///< initial retry backoff (doubles)
 

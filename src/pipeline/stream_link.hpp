@@ -2,16 +2,17 @@
 //
 // One instrument stream is: a producer thread replaying a RecordSource into
 // a bounded SPSC ring (batch-staged, line-rate paced, fault-injected, with
-// the ring-full policy machinery), and a consumer loop that drains the ring
-// in batches, closes frames by watching the sequence tags, and accounts
+// the ring-full policy), and a consumer loop that drains the ring in
+// batches, closes frames by watching the sequence tags, and accounts
 // drops/degradation. The producer reads its source only through
 // record_block — faulted and paced records ask for one row, the rest for
 // up to a batch — and stages every row through the same code; one batch
-// size bounds both its publications and the consumer's pops. FleetRunner
-// (pipeline/fleet.cpp) drives one of these per stream; HybridPipeline is a
-// one-stream fleet, so a stream runs the same transport code whether it
-// runs solo or beside others — the fleet-parity digest matrix in
-// tests/test_fleet.cpp pins that.
+// size (kLinkBatchRecords, clamped to the ring) bounds both its
+// publications and the consumer's pops. FleetRunner (pipeline/fleet.cpp)
+// drives one of these per stream; HybridPipeline is a one-stream fleet, so
+// a stream runs the same transport code whether it runs solo or beside
+// others — the fleet-parity digest matrix in tests/test_fleet.cpp pins
+// that.
 //
 // Accounting: each body returns (producer) or fills in place (consumer) its
 // stream's figures for the run report, and publishes the same events to the
@@ -21,7 +22,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -49,6 +49,11 @@ struct Block {
     bool end = false;
 };
 
+/// Records per producer publication and per consumer pop, clamped to the
+/// ring's capacity: the acquire/release protocol cost is paid per span of
+/// up to this many records instead of per ~32-byte record.
+inline constexpr std::size_t kLinkBatchRecords = 32;
+
 /// The per-stream transport parameters both protocol bodies share.
 struct LinkParams {
     std::size_t record_len = 0;           ///< samples per TOF record (mz_bins)
@@ -59,7 +64,6 @@ struct LinkParams {
     std::size_t batch_cap = 1;  ///< records per producer publication and
                                 ///< per consumer pop
     RingFullPolicy policy = RingFullPolicy::kBlock;
-    double ring_timeout_s = 0.0;
     fault::FaultInjector* faults = nullptr;
 };
 
@@ -77,14 +81,12 @@ struct ConsumeTotals {
 };
 
 /// The producer body: stream every record of `source` into `ring`, batch-
-/// staged and line-rate paced, with the fault-injection and ring-full
-/// policy semantics of the per-record transport, then deliver the end
-/// sentinel (always, whatever the policy). Runs on the producer thread;
-/// `drop_credits` is the kDropOldest credit channel to the consumer.
+/// staged and line-rate paced, with fault injection and the ring-full
+/// policy applied per record, then deliver the end sentinel (always,
+/// whatever the policy). Runs on the producer thread.
 /// Returns the time spent blocked on a full ring.
 inline double produce_stream(SpscRing<Block>& ring, RecordSource& source,
-                             const LinkParams& p,
-                             std::atomic<std::uint64_t>& drop_credits) {
+                             const LinkParams& p) {
     auto& tel = telemetry::Registry::global();
     static auto& c_stalls = tel.counter("hybrid.producer_stalls");
     static auto& c_jitter = tel.counter("hybrid.link_jitter_events");
@@ -96,53 +98,19 @@ inline double produce_stream(SpscRing<Block>& ring, RecordSource& source,
         h_stall.observe(static_cast<std::uint64_t>(seconds * 1e9));
     };
 
-    // Blocking push with stall accounting; returns false if the bounded
-    // wait expired (kBlock with a timeout).
-    const auto push_blocking = [&](Block block) {
+    // Blocking push with stall accounting.
+    const auto push_blocking = [&](const Block& block) {
         WallTimer stall;
-        const bool bounded = p.ring_timeout_s > 0.0 && !block.end;
-        while (!ring.try_push(Block{block})) {
-            if (bounded && stall.seconds() > p.ring_timeout_s) {
-                stalled(stall.seconds());
-                return false;
-            }
-            std::this_thread::yield();
-        }
+        while (!ring.try_push(Block{block})) std::this_thread::yield();
         const double waited = stall.seconds();
         if (waited > 0.0) stalled(waited);
-        return true;
     };
 
     // Per-record slow path: a record that met a full (or fault-forced
-    // "full") link goes through the configured policy.
+    // "full") link goes through the configured policy. A dropped record
+    // is accounted by the consumer via the seq gap.
     const auto push_policy = [&](const Block& block) {
-        switch (p.policy) {
-            case RingFullPolicy::kBlock:
-                push_blocking(block);  // timeout expiry drops the record;
-                                       // the consumer sees the seq gap
-                break;
-            case RingFullPolicy::kDropNewest:
-                // dropped; accounted by the consumer via seq gap
-                break;
-            case RingFullPolicy::kDropOldest:
-                drop_credits.fetch_add(1, std::memory_order_release);
-                if (!push_blocking(block)) {
-                    // The bounded wait expired too: this record is lost to
-                    // the timeout (the consumer sees the seq gap), so
-                    // revoke the credit if it is still unspent — otherwise
-                    // the consumer would later discard a live record that
-                    // displaced nothing, dropping two records for one
-                    // overrun.
-                    std::uint64_t credits =
-                        drop_credits.load(std::memory_order_acquire);
-                    while (credits > 0 &&
-                           !drop_credits.compare_exchange_weak(
-                               credits, credits - 1,
-                               std::memory_order_acq_rel)) {
-                    }
-                }
-                break;
-        }
+        if (p.policy == RingFullPolicy::kBlock) push_blocking(block);
     };
 
     // Batch staging: consecutive unpaced, unfaulted records accumulate here
@@ -157,9 +125,9 @@ inline double produce_stream(SpscRing<Block>& ring, RecordSource& source,
             if (pushed == 0) break;
             off += pushed;
         }
-        // Records that met a full ring fall back to the per-record policy
-        // machinery, so drop/block semantics are identical to per-record
-        // transport.
+        // Records that met a full ring go through the policy one at a
+        // time, so whether a record is dropped or waited for does not
+        // depend on how it was staged.
         for (; off < stage.size(); ++off) {
             if (ring.try_push(Block{stage[off]})) continue;
             push_policy(stage[off]);
@@ -196,9 +164,8 @@ inline double produce_stream(SpscRing<Block>& ring, RecordSource& source,
         std::uint64_t want = 1;
         bool overrun = false;
         if (p.faults != nullptr) {
-            // Faulted runs go record at a time so the injector's per-record
-            // event order (jitter, then overrun) is the per-record
-            // transport's.
+            // Faulted runs go record at a time so the injector sees one
+            // event per record, in order (jitter, then overrun).
             const auto jitter = p.faults->decide(fault::Site::kLinkJitter);
             if (jitter.fire) {
                 // A short, plan-determined transport hiccup (10..80 us).
@@ -244,11 +211,9 @@ inline double produce_stream(SpscRing<Block>& ring, RecordSource& source,
 /// folding records with `accumulate(block)` and finishing frames with
 /// `close_frame(index, more_frames)`. Frames are closed by watching the
 /// sequence tags, so frames whose trailing records were dropped still close
-/// (as degraded frames); kDropOldest credits from the producer discard the
-/// oldest queued record.
+/// (as degraded frames).
 template <typename Accumulate, typename CloseFrame>
 void consume_stream(SpscRing<Block>& ring, const LinkParams& p,
-                    std::atomic<std::uint64_t>& drop_credits,
                     ConsumeTotals& totals, Accumulate&& accumulate,
                     CloseFrame&& close_frame) {
     auto& tel = telemetry::Registry::global();
@@ -320,22 +285,6 @@ void consume_stream(SpscRing<Block>& ring, const LinkParams& p,
             if (block.seq > next_seq) mark_dropped_range(next_seq, block.seq);
             next_seq = block.seq + 1;
             close_through(block.seq / p.records_per_frame);
-
-            // kDropOldest credits: this record is the oldest still queued —
-            // discard it (counts as dropped, degrades its frame).
-            std::uint64_t credits = drop_credits.load(std::memory_order_acquire);
-            bool discard = false;
-            while (credits > 0) {
-                if (drop_credits.compare_exchange_weak(
-                        credits, credits - 1, std::memory_order_acq_rel)) {
-                    discard = true;
-                    break;
-                }
-            }
-            if (discard) {
-                mark_dropped_range(block.seq, block.seq + 1);
-                continue;
-            }
             ++accumulated;
             accumulate(block);
         }

@@ -45,16 +45,6 @@ void Deconvolver::decode(std::span<const double> y, std::span<double> x, Workspa
     for (std::size_t k = 0; k < n_; ++k) x[k] = scale_ * ws.buf[func_idx_[k]];
 }
 
-void Deconvolver::decode_parallel(std::span<const double> y, std::span<double> x, Workspace& ws,
-                                  ThreadPool& pool) const {
-    HTIMS_EXPECTS(y.size() == n_ && x.size() == n_);
-    HTIMS_EXPECTS(ws.buf.size() == n_ + 1);
-    std::fill(ws.buf.begin(), ws.buf.end(), 0.0);
-    for (std::size_t t = 0; t < n_; ++t) ws.buf[state_idx_[t]] = y[t];
-    fwht_parallel(ws.buf, pool);
-    for (std::size_t k = 0; k < n_; ++k) x[k] = scale_ * ws.buf[func_idx_[k]];
-}
-
 void Deconvolver::decode_batch(std::span<const double> y, std::span<double> x,
                                BatchWorkspace& ws) const {
     const std::size_t lanes = ws.lanes;

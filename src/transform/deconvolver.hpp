@@ -24,10 +24,6 @@
 #include "common/aligned_buffer.hpp"
 #include "prs/sequence.hpp"
 
-namespace htims {
-class ThreadPool;
-}
-
 namespace htims::transform {
 
 /// Fast encoder/decoder for one m-sequence. Thread-safe for concurrent use
@@ -55,12 +51,6 @@ public:
     /// y (length N) -> x (length N): x = S^{-1} y.
     void decode(std::span<const double> y, std::span<double> x, Workspace& ws) const;
     AlignedVector<double> decode(std::span<const double> y) const;
-
-    /// Decode using a thread pool to parallelise the internal FWHT (only
-    /// profitable for large N; the per-channel parallelism in the CPU
-    /// backend is usually the better axis).
-    void decode_parallel(std::span<const double> y, std::span<double> x, Workspace& ws,
-                         ThreadPool& pool) const;
 
     /// Scratch for a lane-interleaved batch of `lanes` transforms:
     /// (N + 1) * lanes doubles.

@@ -2,7 +2,6 @@
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 
 namespace htims::transform {
 
@@ -35,42 +34,6 @@ void fwht(std::span<double> data) {
 void fwht_i64(std::span<long long> data) {
     HTIMS_EXPECTS(is_pow2(data.size()));
     fwht_block(data.data(), data.size());
-}
-
-void fwht_parallel(std::span<double> data, ThreadPool& pool) {
-    HTIMS_EXPECTS(is_pow2(data.size()));
-    const std::size_t n = data.size();
-    const std::size_t workers = pool.size();
-    // Below this size the serial transform finishes faster than a dispatch.
-    if (workers <= 1 || n < (std::size_t{1} << 14)) {
-        fwht_block(data.data(), n);
-        return;
-    }
-    // Split into `parts` contiguous blocks (power of two). Each block is an
-    // independent FWHT of size n/parts; the remaining log2(parts) butterfly
-    // stages combine across blocks and are parallelised over index ranges.
-    std::size_t parts = 1;
-    while (parts < workers) parts <<= 1;
-    const std::size_t block = n / parts;
-    HTIMS_DCHECK(block >= 1 && block * parts == n,
-                 "power-of-two split covers the transform exactly");
-    pool.parallel_for(parts, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t p = lo; p < hi; ++p) fwht_block(data.data() + p * block, block);
-    });
-    for (std::size_t h = block; h < n; h <<= 1) {
-        // For stride h there are n/2 butterfly pairs; chunk them evenly.
-        pool.parallel_for(n / (h << 1), [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t g = lo; g < hi; ++g) {
-                const std::size_t i = g * (h << 1);
-                for (std::size_t j = i; j < i + h; ++j) {
-                    const double a = data[j];
-                    const double b = data[j + h];
-                    data[j] = a + b;
-                    data[j + h] = a - b;
-                }
-            }
-        });
-    }
 }
 
 }  // namespace htims::transform

@@ -10,18 +10,10 @@
 #include <cstddef>
 #include <span>
 
-namespace htims {
-class ThreadPool;
-}
-
 namespace htims::transform {
 
 /// In-place unnormalized FWHT. `data.size()` must be a power of two.
 void fwht(std::span<double> data);
-
-/// In-place FWHT parallelised over a thread pool. Falls back to the serial
-/// version for small inputs where fork-join overhead dominates.
-void fwht_parallel(std::span<double> data, ThreadPool& pool);
 
 /// In-place unnormalized FWHT over 64-bit integers (exact; used by the
 /// fixed-point FPGA pipeline model where all arithmetic is integral).

@@ -644,7 +644,7 @@ struct DigestRun {
 };
 
 DigestRun digest_run(BackendKind backend, bool overlap, std::size_t buffers = 2,
-                     std::size_t workers = 1, std::size_t batch = 32) {
+                     std::size_t workers = 1, std::size_t ring = 256) {
     const prs::OversampledPrs seq(6, 1, prs::GateMode::kPulsed);
     FrameLayout layout{.drift_bins = seq.length(), .mz_bins = 8,
                        .drift_bin_width_s = 1e-4};
@@ -658,7 +658,7 @@ DigestRun digest_run(BackendKind backend, bool overlap, std::size_t buffers = 2,
     cfg.cpu_threads = 2;
     cfg.decode_buffers = buffers;
     cfg.decode_workers = overlap ? workers : 0;
-    cfg.batch_records = batch;
+    cfg.ring_records = ring;
     DigestRun run;
     run.digests.assign(cfg.frames, 0);
     cfg.frame_sink = [&run](std::size_t index, const Frame& frame) {
@@ -681,10 +681,6 @@ TEST(HybridOverlap, ConfigValidation) {
     // A sub-2 buffer count is inert while decode stays inline.
     cfg.decode_workers = 0;
     EXPECT_NO_THROW(HybridPipeline(seq, layout, period, cfg));
-    // A zero-record batch is never meaningful.
-    cfg = HybridConfig{};
-    cfg.batch_records = 0;
-    EXPECT_THROW(HybridPipeline(seq, layout, period, cfg), ConfigError);
 }
 
 TEST(HybridOverlap, CpuDigestsMatchSynchronousPath) {
@@ -732,17 +728,18 @@ TEST(HybridOverlap, MultiWorkerFpgaReportsMatchSynchronousAccounting) {
 }
 
 TEST(HybridOverlap, BatchSizeSweepIsBitIdentical) {
-    // The transport batch size is a pure perf knob: per-record (1), default
-    // (32), and a batch larger than the ring must all produce the same
+    // The transport batch follows the ring depth (kLinkBatchRecords
+    // clamped to the ring): rings of 2, 8 and 32 records move batches of
+    // 2, 8 and 32, and must all produce the default 256-record ring's
     // frames.
-    const auto reference = digest_run(BackendKind::kCpu, false, 2, 1, 1);
-    for (std::size_t batch : {std::size_t{2}, std::size_t{32}, std::size_t{4096}}) {
-        EXPECT_EQ(digest_run(BackendKind::kCpu, false, 2, 1, batch).digests,
+    const auto reference = digest_run(BackendKind::kCpu, false);
+    for (std::size_t ring : {std::size_t{2}, std::size_t{8}, std::size_t{32}}) {
+        EXPECT_EQ(digest_run(BackendKind::kCpu, false, 2, 1, ring).digests,
                   reference.digests)
-            << "batch=" << batch;
-        EXPECT_EQ(digest_run(BackendKind::kCpu, true, 2, 2, batch).digests,
+            << "ring=" << ring;
+        EXPECT_EQ(digest_run(BackendKind::kCpu, true, 2, 2, ring).digests,
                   reference.digests)
-            << "batch=" << batch << " (overlap, 2 workers)";
+            << "ring=" << ring << " (overlap, 2 workers)";
     }
 }
 

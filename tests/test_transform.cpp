@@ -8,7 +8,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "prs/oversampled.hpp"
 #include "prs/sequence.hpp"
 #include "transform/circulant.hpp"
@@ -77,26 +76,6 @@ TEST(Fwht, IntegerVersionMatchesDouble) {
         EXPECT_DOUBLE_EQ(xd[i], static_cast<double>(xi[i]));
 }
 
-TEST(Fwht, ParallelMatchesSerial) {
-    ThreadPool pool(4);
-    Rng rng(3);
-    AlignedVector<double> a(1 << 15);
-    for (auto& v : a) v = rng.uniform(-10.0, 10.0);
-    auto b = a;
-    fwht(a);
-    fwht_parallel(b, pool);
-    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-9);
-}
-
-TEST(Fwht, ParallelSmallInputFallsBack) {
-    ThreadPool pool(4);
-    AlignedVector<double> a = {1.0, 2.0, 3.0, 4.0};
-    auto b = a;
-    fwht(a);
-    fwht_parallel(b, pool);
-    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
-}
-
 // -------------------------------------------------------- Deconvolver ----
 
 class DeconvolverVsReference : public ::testing::TestWithParam<int> {};
@@ -157,21 +136,6 @@ TEST(Deconvolver, IndicesAreValidPermutations) {
         EXPECT_FALSE(seen_f[f]);
         seen_f[f] = true;
     }
-}
-
-TEST(Deconvolver, DecodeParallelMatchesSerial) {
-    ThreadPool pool(4);
-    const MSequence seq(10);
-    const Deconvolver d(seq);
-    Rng rng(4);
-    AlignedVector<double> y(seq.length());
-    for (auto& v : y) v = rng.uniform(0.0, 100.0);
-    auto ws1 = d.make_workspace();
-    auto ws2 = d.make_workspace();
-    AlignedVector<double> x1(seq.length()), x2(seq.length());
-    d.decode(y, x1, ws1);
-    d.decode_parallel(y, x2, ws2, pool);
-    for (std::size_t i = 0; i < y.size(); ++i) EXPECT_NEAR(x1[i], x2[i], 1e-9);
 }
 
 TEST(Deconvolver, SizeMismatchRejected) {
