@@ -152,10 +152,14 @@ int main() {
     // stream, both without a frame sink, in kPairs pairs that alternate
     // which side goes first. Each run is a few milliseconds, so a single
     // pair says little; vs_live_x is the median pair ratio and each side's
-    // rate its median.
+    // rate its median. The replay source is built once, like the live
+    // template: its constructor CRC-checks and parses the whole store and
+    // writes the resident image, which would leave every replay run to
+    // start on caches it just evicted.
     constexpr std::size_t kPairs = 15;
     std::vector<double> rates[2];  // live, replay
     std::vector<double> pair_x;
+    store::ReplaySource pair_source(reader, store::ReplayConfig{0.0});
     for (std::size_t pair = 0; pair < kPairs; ++pair) {
         for (std::size_t k = 0; k < 2; ++k) {
             const std::size_t side = (pair + k) % 2;
@@ -163,7 +167,6 @@ int main() {
                 pipeline::HybridPipeline live(seq, layout, period, hcfg);
                 rates[0].push_back(live.run().sample_rate);
             } else {
-                store::ReplaySource pair_source(reader, store::ReplayConfig{0.0});
                 pipeline::HybridPipeline replay(seq, layout, pair_source, hcfg);
                 rates[1].push_back(replay.run().sample_rate);
             }

@@ -56,7 +56,6 @@ pipeline::HybridReport run_hybrid(const fault::FaultPlan& plan) {
     // forced one, so the degraded-frame set reproduces from the seed.
     cfg.ring_records = 2048;
     cfg.ring_policy = pipeline::RingFullPolicy::kDropNewest;
-    cfg.cpu_retry_backoff_s = 0.0;
     cfg.faults = &faults;
     return pipeline::HybridPipeline(seq, layout, period, cfg).run();
 }

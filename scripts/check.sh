@@ -8,7 +8,13 @@
 #             configuration every PR must keep green), then the `fleet`
 #             label re-run — the fleet-parity digest matrix
 #             (tests/test_fleet.cpp) that pins every fleet stream
-#             bit-identical to its solo run.
+#             bit-identical to its solo run — and the `kernels` label
+#             (SIMD parity, transform, golden digests, HD analysis) twice
+#             more, under HTIMS_SIMD=generic and HTIMS_SIMD=avx2: the full
+#             run executes only the host's best tier, so these re-runs are
+#             what reach the portable kernels and, on an AVX-512 host, the
+#             AVX2 tier. A request above the host's tier is ignored, so
+#             they are safe on any host.
 #   model     exhaustive model-checking gate in build-check/: `ctest -L
 #             model` (the engine self-tests and the bounded litmus run in
 #             tests/test_model.cpp), then tools/modelcheck unbounded — every
@@ -153,10 +159,14 @@ ensure_check_tree() {
 }
 
 if [[ "$run_tier1" == 1 ]]; then
-    echo "== tier-1: build + ctest (+ fleet-parity re-run) =="
+    echo "== tier-1: build + ctest (+ fleet-parity and lower-SIMD-tier re-runs) =="
     begin
     if build_and_test build-check &&
-        ctest --test-dir build-check -L fleet --output-on-failure -j "$jobs"; then
+        ctest --test-dir build-check -L fleet --output-on-failure -j "$jobs" &&
+        HTIMS_SIMD=generic ctest --test-dir build-check -L kernels \
+            --output-on-failure -j "$jobs" &&
+        HTIMS_SIMD=avx2 ctest --test-dir build-check -L kernels \
+            --output-on-failure -j "$jobs"; then
         stage tier1 PASS
     else
         stage tier1 FAIL

@@ -169,6 +169,26 @@ void litmus_turnstile_abort() {
     waiter.join();
     ts.advance();  // racing/late advance stays inside the aborted band
     MODEL_ASSERT(!ts.wait_turn(2));
+    MODEL_ASSERT(!ts.wait_until(3));  // a consumer waiting for a buffer too
+}
+
+/// Buffer reuse: a worker decodes frame 0 in its buffer (reads and writes
+/// it), emits, and advances; the consumer refills the same buffer for the
+/// next frame once wait_until(1) returns. The emitter's buffer traffic must
+/// happen-before the refill (a demoted advance is a data race on it).
+template <typename P>
+void litmus_turnstile_slot_reuse() {
+    pipeline::OrderTurnstile<P> ts;
+    typename P::template var<std::uint64_t> buffer{7};  // frame 0, accumulated
+    thread worker([&] {
+        MODEL_ASSERT(ts.wait_turn(0));
+        buffer.store_plain(buffer.load_plain() + 1);  // decode in place
+        ts.advance();
+    });
+    MODEL_ASSERT(ts.wait_until(1));  // frame 0 emitted: its buffer is free
+    buffer.store_plain(0);           // zero it for the next frame
+    worker.join();
+    MODEL_ASSERT(buffer.load_plain() == 0);
 }
 
 /// Two turnstiles (two fleet streams) sharing a worker pool never
@@ -426,6 +446,9 @@ inline const std::vector<LitmusUnit>& litmus_units() {
          litmus_turnstile_abort<ModelAtomics>, nullptr},
         {"turnstile_per_stream_independence", "",
          litmus_turnstile_per_stream_independence<ModelAtomics>, nullptr},
+        {"turnstile_slot_reuse", "turnstile_advance_relaxed",
+         litmus_turnstile_slot_reuse<ModelAtomics>,
+         litmus_turnstile_slot_reuse<MutantTurnstileAdvanceRelaxed>},
         {"mpmc_single_handoff", "mpmc_slot_publish_relaxed",
          litmus_mpmc_single_handoff<ModelAtomics>,
          litmus_mpmc_single_handoff<MutantMpmcSlotPublishRelaxed>},

@@ -6,9 +6,10 @@
 // detects the instruction set once (process lifetime), exposes the selected
 // tier, and lets kernels hang their function-pointer tables off it. The
 // environment variable HTIMS_SIMD ("generic", "avx2", "avx512", "neon") can
-// *downgrade* the selection — useful for A/B benchmarking and for forcing
-// the portable kernel through the sanitizer builds — but never upgrades past
-// what the CPU reports.
+// *downgrade* the selection — useful for A/B benchmarking, and the way
+// scripts/check.sh's tier-1 stage runs the `kernels` test label through the
+// portable kernels (generic) and the AVX2 tier on hosts that would pick a
+// higher one — but never upgrades past what the CPU reports.
 #pragma once
 
 #include <cstddef>

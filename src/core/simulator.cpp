@@ -12,8 +12,7 @@ Simulator::Simulator(const SimulatorConfig& config, instrument::SampleMixture sa
       cpu_(engine_.sequence(), engine_.layout(), config.cpu_threads) {
     if (!config_.fault_plan.empty()) {
         faults_.emplace(config_.fault_plan);
-        cpu_.set_faults(&*faults_, config_.cpu_max_retries,
-                        config_.cpu_retry_backoff_s);
+        cpu_.set_faults(&*faults_);
     }
 }
 

@@ -37,10 +37,10 @@ struct SimulatorConfig {
     bool lc_mode = false;  ///< gate species currents by LC retention time
 
     /// Deterministic fault injection; an empty plan (the default) keeps the
-    /// pipeline on the fault-free fast path.
+    /// pipeline on the fault-free fast path. Transient CPU faults get
+    /// CpuBackend::set_faults' default retries (4, backoff from 50 us,
+    /// doubling).
     fault::FaultPlan fault_plan{};
-    int cpu_max_retries = 4;            ///< retry budget for transient CPU faults
-    double cpu_retry_backoff_s = 50e-6; ///< initial retry backoff (doubles)
 };
 
 /// One simulated acquisition + processing round.

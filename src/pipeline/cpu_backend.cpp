@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <thread>
-#include <utility>
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
@@ -29,8 +28,11 @@ void CpuBackend::set_faults(fault::FaultInjector* faults, int max_retries,
     backoff_s_ = backoff_s;
 }
 
-Frame CpuBackend::deconvolve(const Frame& raw, Frame reuse) {
-    if (faults_ == nullptr) return run(raw, htims::batch_lanes(), std::move(reuse));
+void CpuBackend::deconvolve(const Frame& raw, Frame& out) {
+    if (faults_ == nullptr) {
+        run(raw, out, htims::batch_lanes());
+        return;
+    }
     // A fired kCpuFault models a transient task failure (lost worker, ECC
     // retry, preempted node): the attempt is abandoned and retried after an
     // exponential backoff. The injector's per-site event counter advances
@@ -50,13 +52,23 @@ Frame CpuBackend::deconvolve(const Frame& raw, Frame reuse) {
         if (backoff > 0.0)
             std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
     }
-    return run(raw, htims::batch_lanes(), std::move(reuse));
+    run(raw, out, htims::batch_lanes());
 }
 
-Frame CpuBackend::deconvolve_scalar(const Frame& raw) { return run(raw, 1); }
+Frame CpuBackend::deconvolve(const Frame& raw) {
+    Frame out(layout_);
+    deconvolve(raw, out);
+    return out;
+}
 
-Frame CpuBackend::run(const Frame& raw, std::size_t lanes, Frame reuse) {
-    HTIMS_EXPECTS(raw.layout() == layout_);
+Frame CpuBackend::deconvolve_scalar(const Frame& raw) {
+    Frame out(layout_);
+    run(raw, out, 1);
+    return out;
+}
+
+void CpuBackend::run(const Frame& raw, Frame& out, std::size_t lanes) {
+    HTIMS_EXPECTS(raw.layout() == layout_ && out.layout() == layout_);
     auto& tel = telemetry::Registry::global();
     static const auto kStageDecode = tel.intern("cpu.deconvolve");
     static auto& c_frames = tel.counter("cpu.frames");
@@ -70,7 +82,6 @@ Frame CpuBackend::run(const Frame& raw, std::size_t lanes, Frame reuse) {
     static auto& h_tile = tel.histogram("cpu.tile_ns");
     auto span = tel.span(kStageDecode);
 
-    Frame out = reuse.layout() == layout_ ? std::move(reuse) : Frame(layout_);
     WallTimer timer;
     HTIMS_CHECK(lanes >= 1, "batch lane count must be at least 1");
     const std::size_t tiles = lanes > 1 ? layout_.mz_bins / lanes : 0;
@@ -126,7 +137,6 @@ Frame CpuBackend::run(const Frame& raw, std::size_t lanes, Frame reuse) {
     g_tier.set(static_cast<std::int64_t>(simd_tier()));
     g_lanes.set(static_cast<std::int64_t>(lanes));
     h_decode.observe(static_cast<std::uint64_t>(elapsed * 1e9));
-    return out;
 }
 
 double CpuBackend::sustained_sample_rate(std::size_t averages) const {

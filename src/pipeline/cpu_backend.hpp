@@ -16,6 +16,10 @@
 //    runtime). Channels beyond the last full tile take the scalar path.
 //  * scalar — the original one-channel-at-a-time decode, kept as the
 //    reference oracle and for A/B benchmarking (deconvolve_scalar).
+//
+// The batched path can write its result over its input: the streaming
+// engine accumulates each CPU frame in one buffer and decodes it there,
+// with no second frame-sized allocation per decode.
 #pragma once
 
 #include <atomic>
@@ -57,17 +61,20 @@ public:
         return task_retries_.load(std::memory_order_relaxed);
     }
 
-    /// Deconvolve every m/z channel of `raw`; returns the drift-domain
-    /// frame. Uses the batched tile path, htims::batch_lanes() channels per
-    /// tile. A spent frame of this layout passed as `reuse` lends its
-    /// storage to the result (every cell is overwritten), sparing a
-    /// frame-sized allocation and its page faults per decode.
+    /// Deconvolve every m/z channel of `raw` into `out`, a frame of this
+    /// layout whose every cell is overwritten; `out` may be `raw` itself.
+    /// Uses the batched tile path, htims::batch_lanes() channels per tile.
+    /// In place is exact because each tile (and each tail channel) copies
+    /// its own columns out before writing them back, and no two share one.
     ///
     /// Thread safety: one deconvolve at a time, but the calling thread may
     /// change between calls (the streaming engine decodes on the consumer
     /// or on pool workers). Retry/backoff state is per-call; the
     /// stats below are synchronized so any thread reads consistent values.
-    Frame deconvolve(const Frame& raw, Frame reuse = {});
+    void deconvolve(const Frame& raw, Frame& out);
+
+    /// deconvolve(raw, out) into a new frame.
+    Frame deconvolve(const Frame& raw);
 
     /// Reference path: one channel at a time, on the same thread pool.
     Frame deconvolve_scalar(const Frame& raw);
@@ -96,7 +103,7 @@ public:
     double sustained_sample_rate(std::size_t averages) const;
 
 private:
-    Frame run(const Frame& raw, std::size_t lanes, Frame reuse = {});
+    void run(const Frame& raw, Frame& out, std::size_t lanes);
 
     transform::EnhancedDeconvolver decon_;
     FrameLayout layout_;

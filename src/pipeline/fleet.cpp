@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <exception>
 #include <initializer_list>
 #include <memory>
@@ -29,64 +27,27 @@ namespace htims::pipeline {
 
 namespace {
 
-/// One closed frame on its way from a stream consumer to decode. Exactly
-/// one of `frame` (CPU backend: the accumulated raw frame) and `capture`
-/// (FPGA backend: the detached capture) is live — the stream's backend
-/// says which.
+/// One closed frame on its way from a stream consumer to decode. The frame
+/// lies in its stream's buffer `index` mod the buffer count.
 struct DispatchJob {
     std::uint32_t stream = 0;
     std::size_t index = 0;         ///< frame index within the stream
     std::uint64_t dispatch_ns = 0; ///< when the consumer handed it on
+};
+
+/// One of a stream's frame buffers. The CPU backend accumulates into
+/// `frame` and decodes it in place; the FPGA backend accumulates inside
+/// its model, detaches the frame into `capture`, and decodes that into
+/// `frame`.
+struct FrameBuffer {
     Frame frame;
     FpgaCapture capture;
 };
 
-/// A stream's spare frame buffers in pool mode: the consumer takes one per
-/// closed frame and pool workers return them after emission, so the list
-/// bounds the stream's frames in flight. abort() releases a consumer
-/// blocked in pop() when the pool dies mid-run (no buffer would ever
-/// return).
-class FreeList {
-public:
-    void push(DispatchJob job) {
-        {
-            std::lock_guard lock(mutex_);
-            free_.push_back(std::move(job));
-        }
-        cv_.notify_one();
-    }
-
-    /// Blocks until a spent buffer comes back; nullopt after abort().
-    std::optional<DispatchJob> pop() {
-        std::unique_lock lock(mutex_);
-        cv_.wait(lock, [&] { return !free_.empty() || aborted_; });
-        if (free_.empty()) return std::nullopt;
-        DispatchJob job = std::move(free_.front());
-        free_.pop_front();
-        return job;
-    }
-
-    void abort() {
-        {
-            std::lock_guard lock(mutex_);
-            aborted_ = true;
-        }
-        cv_.notify_all();
-    }
-
-private:
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    std::deque<DispatchJob> free_;
-    bool aborted_ = false;
-};
-
-/// One thread's decoder for one stream: the backend the stream uses, and
-/// for the CPU backend the spent frame its next decode writes into.
+/// One thread's decoder for one stream: the backend the stream uses.
 struct Decoder {
     std::unique_ptr<CpuBackend> cpu;
     std::unique_ptr<FpgaPipeline> fpga;
-    Frame spare;
 };
 
 Decoder make_decoder(const FleetStream& spec, std::size_t cpu_threads) {
@@ -96,8 +57,7 @@ Decoder make_decoder(const FleetStream& spec, std::size_t cpu_threads) {
         d.fpga = std::make_unique<FpgaPipeline>(spec.sequence, spec.layout, cfg.fpga);
     } else {
         d.cpu = std::make_unique<CpuBackend>(spec.sequence, spec.layout, cpu_threads);
-        if (cfg.faults != nullptr)
-            d.cpu->set_faults(cfg.faults, cfg.cpu_max_retries, cfg.cpu_retry_backoff_s);
+        if (cfg.faults != nullptr) d.cpu->set_faults(cfg.faults);
     }
     return d;
 }
@@ -119,7 +79,10 @@ struct alignas(kCacheLine) StreamShard {
 /// decode_wait_s/failure; last_frame / fpga / last_emit_ns are written only
 /// inside the turnstile-serialized emission section (the release-advance/
 /// acquire-observe edge orders them thread-to-thread, and the final join
-/// publishes them to the caller).
+/// publishes them to the caller). Frame k's buffer belongs to the consumer
+/// from the emission of frame k - buffers.size() until k is handed off,
+/// then to the thread that decodes and emits k: the dispatch queue carries
+/// the first hand-over, the turnstile's advance/wait_until edge the second.
 struct StreamState {
     StreamState(const FleetStream& s, std::uint32_t index,
                 const std::atomic<bool>* stats)
@@ -131,8 +94,8 @@ struct StreamState {
     LinkParams link{};
 
     OrderTurnstile<> turnstile;
-    FreeList free_list;  ///< pool mode only
     StreamShard shard;
+    std::vector<FrameBuffer> buffers;  ///< decode_workers + 1
 
     // Producer-thread-owned.
     double producer_stall_s = 0.0;
@@ -162,20 +125,21 @@ void decode_and_emit(StreamState& st, const DispatchJob& job, Decoder& dec,
     static const auto kStageFrame = tel.intern("hybrid.frame");
     const auto& cfg = st.spec.config;
 
+    FrameBuffer& buf = st.buffers[job.index % st.buffers.size()];
     const std::uint64_t t0 = telemetry::now_ns();
-    Frame decoded;
     {
         auto decode_span = tel.span(kStageDecode);
-        decoded = dec.fpga ? dec.fpga->finalize_frame(job.capture)
-                           : dec.cpu->deconvolve(job.frame, std::move(dec.spare));
+        if (dec.fpga)
+            buf.frame = dec.fpga->finalize_frame(buf.capture, std::move(buf.frame));
+        else
+            dec.cpu->deconvolve(buf.frame, buf.frame);
     }
     h_decode.observe(telemetry::now_ns() - t0);
     if (!st.turnstile.wait_turn(job.index)) return;  // the pool died
     if (dec.fpga) st.fpga = dec.fpga->report();
-    if (cfg.frame_sink) cfg.frame_sink(job.index, decoded);
-    if (cfg.analysis) cfg.analysis->analyze(st.id, job.index, decoded);
-    std::swap(st.last_frame, decoded);  // the frame it replaces is spent
-    if (dec.cpu) dec.spare = std::move(decoded);
+    if (cfg.frame_sink) cfg.frame_sink(job.index, buf.frame);
+    if (cfg.analysis) cfg.analysis->analyze(st.id, job.index, buf.frame);
+    if (job.index + 1 == cfg.frames) st.last_frame = std::move(buf.frame);
     const std::uint64_t now = telemetry::now_ns();
     st.shard.latency.observe(now - job.dispatch_ns);
     agg_latency.observe(now - job.dispatch_ns);
@@ -191,15 +155,10 @@ void decode_and_emit(StreamState& st, const DispatchJob& job, Decoder& dec,
 
 }  // namespace
 
-void validate_stream(const FleetStream& stream, std::size_t decode_workers,
-                     const std::string& who) {
+void validate_stream(const FleetStream& stream, const std::string& who) {
     const auto& cfg = stream.config;
     if (cfg.frames == 0 || cfg.averages == 0)
         throw ConfigError(who + " needs frames >= 1 and averages >= 1");
-    if (cfg.cpu_max_retries < 0)
-        throw ConfigError(who + ": cpu_max_retries cannot be negative");
-    if (decode_workers > 0 && cfg.decode_buffers < 2)
-        throw ConfigError(who + ": decode workers need decode_buffers >= 2");
     if (stream.layout.mz_bins == 0 || stream.layout.drift_bins == 0)
         throw ConfigError(who + ": stream layout is empty");
     const std::uint64_t expected = static_cast<std::uint64_t>(cfg.frames) *
@@ -260,7 +219,7 @@ FleetRunner::FleetRunner(std::vector<FleetStream> streams,
     for (std::size_t i = 0; i < streams_.size(); ++i) {
         auto& spec = streams_[i];
         const std::string tag = "fleet stream " + std::to_string(i);
-        validate_stream(spec, config_.decode_workers, tag);
+        validate_stream(spec, tag);
         if (spec.config.decode_workers != 0)
             throw ConfigError(tag + ": decode_workers belongs to FleetConfig");
         if (spec.source == nullptr) {
@@ -288,7 +247,6 @@ FleetReport FleetRunner::run() {
     // --- Per-stream setup -------------------------------------------------
     std::vector<std::unique_ptr<StreamState>> states;
     states.reserve(n);
-    std::size_t inflight_total = 0;
     for (std::size_t i = 0; i < n; ++i) {
         const auto& spec = streams_[i];
         const auto& cfg = spec.config;
@@ -323,27 +281,19 @@ FleetReport FleetRunner::run() {
             st->own = make_decoder(spec, cfg.cpu_threads);
         if (st->own.fpga && cfg.faults != nullptr) st->own.fpga->set_faults(cfg.faults);
 
-        // With a pool, decode_buffers (>= 2, validated) bounds this
-        // stream's frames in flight: the consumer's own buffer plus
-        // decode_buffers-1 spares. A CPU consumer accumulates into its own
-        // buffer, so all decode_buffers frames can be queued at once; an
-        // FPGA consumer accumulates inside the model and hands off only
-        // spares, which start empty (capture_frame allocates their bins).
-        if (workers_n > 0) {
-            for (std::size_t b = 0; b + 1 < cfg.decode_buffers; ++b)
-                st->free_list.push(DispatchJob{
-                    st->id, 0, 0,
-                    cfg.backend == BackendKind::kFpga ? Frame{} : Frame(spec.layout),
-                    {}});
-            inflight_total += cfg.decode_buffers;
-        }
+        // One buffer per frame in flight: one per worker plus the one the
+        // consumer fills. A CPU buffer is allocated here; an FPGA buffer's
+        // capture and frame on first use (capture_frame, finalize_frame).
+        st->buffers.resize(workers_n + 1);
+        if (cfg.backend == BackendKind::kCpu)
+            for (auto& buf : st->buffers) buf.frame = Frame(spec.layout);
         states.push_back(std::move(st));
     }
 
-    // The dispatch queue holds every frame the streams can have in flight,
-    // so it never fills: a consumer waits only for a spare buffer.
+    // The dispatch queue holds every buffer of every stream, so it never
+    // fills: a consumer waits only for a buffer.
     std::optional<MpmcQueue<DispatchJob>> queue;
-    if (workers_n > 0) queue.emplace(inflight_total);
+    if (workers_n > 0) queue.emplace(n * (workers_n + 1));
 
     // Consumers still running; workers exit once this hits zero AND the
     // queue is drained. Each consumer decrements with release after its
@@ -360,16 +310,30 @@ FleetReport FleetRunner::run() {
 
     // --- Consumer body, one run per stream --------------------------------
     const auto consume = [&](StreamState* st) {
-        const auto& cfg = st->spec.config;
         bool down = false;  // the decode pool died: drain without dispatch
+        // Frame `index`'s buffer, once the emission of its last user, frame
+        // index - buffers, frees it (inline decode emitted that frame
+        // already); none once the pool died.
+        const auto claim = [&](std::size_t index) -> FrameBuffer* {
+            const std::size_t buffers = st->buffers.size();
+            if (queue) {
+                WallTimer wait;
+                down = !st->turnstile.wait_until(std::max(index + 1, buffers) - buffers);
+                const double waited = wait.seconds();
+                st->decode_wait_s += waited;
+                h_wait.observe(static_cast<std::uint64_t>(waited * 1e9));
+                if (down) return nullptr;
+            }
+            return &st->buffers[index % buffers];
+        };
         // Hand a closed frame on: decode it here, or queue it for the
         // pool. The queue never fills, but a push can still meet the one
         // slot a worker has claimed a lap back and not yet recycled (the
         // ticket protocol's recycle window, mpmc_queue.hpp); with two or
         // more streams and workers, other streams' frames can lap a
         // descheduled worker there, so wait the window out.
-        const auto hand_off = [&](DispatchJob& job) {
-            job.dispatch_ns = telemetry::now_ns();
+        const auto hand_off = [&](std::size_t index) {
+            DispatchJob job{st->id, index, telemetry::now_ns()};
             if (!queue) {
                 decode_and_emit(*st, job, st->own, agg_latency);
                 return;
@@ -379,23 +343,9 @@ FleetReport FleetRunner::run() {
             g_queue.set(depth);
             h_queue.observe(static_cast<std::uint64_t>(depth));
         };
-        // Pool mode: the next spare buffer, already carrying this stream's
-        // id; none once the pool died.
-        const auto take_free = [&] {
-            WallTimer wait;
-            auto spent = st->free_list.pop();
-            const double waited = wait.seconds();
-            st->decode_wait_s += waited;
-            h_wait.observe(static_cast<std::uint64_t>(waited * 1e9));
-            down = !spent;
-            return spent;
-        };
         try {
-            if (cfg.backend == BackendKind::kFpga) {
+            if (st->own.fpga) {
                 FpgaPipeline& fpga = *st->own.fpga;
-                // The capture in hand: a spent one whose bins the next
-                // capture_frame recycles.
-                DispatchJob job{st->id, 0, 0, {}, {}};
                 consume_stream(
                     st->ring, st->link, st->totals,
                     [&](const Block& block) {
@@ -404,18 +354,22 @@ FleetReport FleetRunner::run() {
                     },
                     [&](std::size_t index, bool /*more_frames*/) {
                         if (down) return;
-                        if (queue) {
-                            auto spent = take_free();
-                            if (!spent) return;
-                            job = std::move(*spent);
-                        }
-                        job.index = index;
-                        job.capture = fpga.capture_frame(std::move(job.capture));
-                        hand_off(job);
+                        FrameBuffer* buf = claim(index);
+                        if (buf == nullptr) return;
+                        // The spent capture's bins go back to the model.
+                        buf->capture = fpga.capture_frame(std::move(buf->capture));
+                        hand_off(index);
                     });
             } else {
-                // The frame being accumulated.
-                DispatchJob job{st->id, 0, 0, Frame(st->spec.layout), {}};
+                // The frame being accumulated, zeroed first.
+                Frame* frame = nullptr;
+                const auto next = [&](std::size_t index) {
+                    if (FrameBuffer* buf = claim(index)) {
+                        frame = &buf->frame;
+                        frame->fill(0.0);
+                    }
+                };
+                next(0);
                 const std::size_t records_per_period =
                     st->link.records_per_period;
                 consume_stream(
@@ -425,19 +379,14 @@ FleetReport FleetRunner::run() {
                         const std::size_t record_in_period =
                             static_cast<std::size_t>(block.seq %
                                                      records_per_period);
-                        auto row = job.frame.record(record_in_period);
+                        auto row = frame->record(record_in_period);
                         for (std::size_t i = 0; i < block.size; ++i)
                             row[i] += static_cast<double>(block.data[i]);
                     },
                     [&](std::size_t index, bool more_frames) {
                         if (down) return;
-                        job.index = index;
-                        hand_off(job);
-                        if (!queue) {
-                            job.frame.fill(0.0);
-                        } else if (more_frames) {
-                            if (auto spent = take_free()) job = std::move(*spent);
-                        }
+                        hand_off(index);
+                        if (more_frames) next(index + 1);
                     });
             }
         } catch (...) {
@@ -480,73 +429,48 @@ FleetReport FleetRunner::run() {
     // (hardware concurrency when 0), at least one.
     std::vector<std::vector<Decoder>> decoders(workers_n);
     for (auto& row : decoders) row.resize(n);
-    const auto recycle = [&states](DispatchJob job) {
-        StreamState& st = *states[job.stream];
-        if (st.spec.config.backend != BackendKind::kFpga) job.frame.fill(0.0);
-        st.free_list.push(std::move(job));
-    };
 
     std::vector<std::thread> workers;
     workers.reserve(workers_n);
     for (std::size_t w = 0; w < workers_n; ++w) {
         workers.emplace_back([&, w] {
             std::vector<Decoder>& local = decoders[w];
-            try {
-                for (;;) {
-                    auto job = queue->try_pop();
-                    if (!job) {
-                        if (active.load(std::memory_order_acquire) == 0) {
-                            // Every consumer has finished; one more pop
-                            // cannot miss a job (see the `active` comment).
-                            job = queue->try_pop();
-                            if (!job) break;
-                        } else {
-                            std::this_thread::yield();
-                            continue;
-                        }
-                    }
-                    StreamState& st = *states[job->stream];
-                    if (!decode_down.load(std::memory_order_relaxed)) {
-                        Decoder& dec = local[job->stream];
-                        if (!dec.cpu && !dec.fpga) {
-                            const std::size_t threads =
-                                st.spec.config.cpu_threads > 0
-                                    ? st.spec.config.cpu_threads
-                                    : std::thread::hardware_concurrency();
-                            dec = make_decoder(
-                                st.spec, std::max<std::size_t>(1, threads / workers_n));
-                        }
-                        decode_and_emit(st, *job, dec, agg_latency);
-                    }
-                    recycle(std::move(*job));
-                }
-            } catch (...) {
-                {
-                    std::lock_guard lock(failure_mutex);
-                    if (!pool_failure) pool_failure = std::current_exception();
-                }
-                decode_down.store(true, std::memory_order_relaxed);
-                // Release every stream: waiters get a false turn, consumers
-                // blocked on a spare buffer wake with none and stop
-                // dispatching. Then keep recycling so in-flight buffers
-                // return and the queue drains.
-                for (auto& s : states) {
-                    s->turnstile.abort();
-                    s->free_list.abort();
-                }
-                for (;;) {
-                    if (auto job = queue->try_pop()) {
-                        recycle(std::move(*job));
+            for (;;) {
+                auto job = queue->try_pop();
+                if (!job) {
+                    if (active.load(std::memory_order_acquire) == 0) {
+                        // Every consumer has finished; one more pop cannot
+                        // miss a job (see the `active` comment).
+                        job = queue->try_pop();
+                        if (!job) break;
+                    } else {
+                        std::this_thread::yield();
                         continue;
                     }
-                    if (active.load(std::memory_order_acquire) == 0) {
-                        if (auto job = queue->try_pop()) {
-                            recycle(std::move(*job));
-                            continue;
-                        }
-                        break;
+                }
+                if (decode_down.load(std::memory_order_relaxed)) continue;
+                StreamState& st = *states[job->stream];
+                try {
+                    Decoder& dec = local[job->stream];
+                    if (!dec.cpu && !dec.fpga) {
+                        const std::size_t threads =
+                            st.spec.config.cpu_threads > 0
+                                ? st.spec.config.cpu_threads
+                                : std::thread::hardware_concurrency();
+                        dec = make_decoder(
+                            st.spec, std::max<std::size_t>(1, threads / workers_n));
                     }
-                    std::this_thread::yield();
+                    decode_and_emit(st, *job, dec, agg_latency);
+                } catch (...) {
+                    {
+                        std::lock_guard lock(failure_mutex);
+                        if (!pool_failure) pool_failure = std::current_exception();
+                    }
+                    decode_down.store(true, std::memory_order_relaxed);
+                    // Release every stream: waiting emitters and consumers
+                    // waiting for a buffer get false and stop. The pool
+                    // keeps popping, and skipping, until the queue drains.
+                    for (auto& s : states) s->turnstile.abort();
                 }
             }
         });

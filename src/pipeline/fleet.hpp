@@ -16,12 +16,20 @@
 // tests/test_fleet.cpp pins exactly that, across mixed CPU/FPGA backends,
 // mixed live/replay sources, and worker counts.
 //
+// Each frame lies in one buffer from its first record to its emission: a
+// stream owns FleetConfig::decode_workers + 1 of them, the consumer
+// accumulates into one, and whichever thread decodes the frame does so in
+// that buffer (the CPU backend in place, the FPGA model from the buffer's
+// capture into the buffer's frame) — the paper's FPGA, which accumulates
+// and deconvolves each frame in its own on-chip store, does the same.
+//
 // Identity comes from structure, not luck:
 //   * there is one transport and one decode-and-emit step: pool workers and
 //     inline consumers run the same code;
 //   * frames are dispatched in frame order per stream and the MPMC queue is
 //     FIFO, so the lowest undecoded frame index of a stream is always held
-//     by some worker — ordered emission never deadlocks;
+//     by some worker — ordered emission never deadlocks, and a consumer
+//     waiting for a buffer waits only on frames it has already dispatched;
 //   * decode is a pure function of the closed frame (pinned for both
 //     backends by the inline-vs-pool digest tests), so which thread decodes
 //     a frame cannot change its bits.
@@ -53,8 +61,7 @@ namespace htims::pipeline {
 
 /// One instrument stream of a fleet. `config` is a full HybridConfig
 /// except `decode_workers`, which must stay 0: the pool size belongs to
-/// FleetConfig. `decode_buffers` bounds this stream's frames in flight
-/// when the fleet has decode workers.
+/// FleetConfig.
 struct FleetStream {
     prs::OversampledPrs sequence;  ///< this stream's PRS (seed included)
     FrameLayout layout;
@@ -69,13 +76,14 @@ struct FleetStream {
 
 /// Fleet-wide knobs.
 struct FleetConfig {
-    /// Shared decode pool size. 0 decodes every frame inline on its
-    /// stream's consumer: no queue, no workers, no spare buffers. With
-    /// M >= 1 the dispatch queue holds the sum of the streams'
-    /// decode_buffers, every frame that can be in flight, so it never
-    /// fills; a stream whose spare buffers are all out stalls its own
-    /// consumer, which fills its ring and stalls its producer — never its
-    /// neighbours'.
+    /// Shared decode pool size. Every stream gets decode_workers + 1 frame
+    /// buffers; frame k uses buffer k mod (decode_workers + 1) once frame
+    /// k - (decode_workers + 1) has been emitted. 0 decodes every frame
+    /// inline on its stream's consumer, in its one buffer: no queue, no
+    /// workers. With M >= 1 the dispatch queue holds every buffer of every
+    /// stream, so it never fills; a stream whose buffers all hold frames
+    /// not yet emitted stalls its own consumer, which fills its ring and
+    /// stalls its producer — never its neighbours'.
     std::size_t decode_workers = 2;
 };
 
@@ -106,11 +114,10 @@ void append_fleet_scalars(telemetry::RunMeta& meta, const FleetReport& report,
                           const std::string& prefix);
 
 /// The one config check for solo runs and fleet streams: throws ConfigError,
-/// its message starting with `who`, unless `stream` can run with
-/// `decode_workers` pool workers. `stream.config.decode_workers` is not
-/// read; each caller has its own rule for it.
-void validate_stream(const FleetStream& stream, std::size_t decode_workers,
-                     const std::string& who);
+/// its message starting with `who`, unless `stream` can run.
+/// `stream.config.decode_workers` is not read; each caller has its own rule
+/// for it.
+void validate_stream(const FleetStream& stream, const std::string& who);
 
 /// The streaming engine. Owns every thread for the duration of run(): one
 /// producer per stream, a consumer thread per stream but the last (whose

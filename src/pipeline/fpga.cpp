@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
@@ -199,12 +200,12 @@ void FpgaPipeline::decode_channel_stretched(
 
 Frame FpgaPipeline::end_frame() { return finalize_frame(capture_frame()); }
 
-Frame FpgaPipeline::finalize_frame(const FpgaCapture& capture) {
+Frame FpgaPipeline::finalize_frame(const FpgaCapture& capture, Frame reuse) {
     auto& tel = telemetry::Registry::global();
     static const auto kStageFrame = tel.intern("fpga.end_frame");
     auto span = tel.span(kStageFrame);
 
-    Frame out(layout_);
+    Frame out = reuse.layout() == layout_ ? std::move(reuse) : Frame(layout_);
     const std::size_t n = base_.length();
     const auto f = static_cast<std::size_t>(sequence_.factor());
     const bool stretched = sequence_.mode() == prs::GateMode::kStretched && f > 1;
@@ -216,7 +217,7 @@ Frame FpgaPipeline::finalize_frame(const FpgaCapture& capture) {
 
     // A capture-time kFpgaOverrun means the decode window closed early: the
     // engine emits the frame with only the first `channels` m/z channels
-    // decoded (the rest stay zero) rather than stalling capture of the next
+    // decoded (the rest zeroed) rather than stalling capture of the next
     // frame. Cycle accounting below charges only the decoded channels.
     std::size_t channels = layout_.mz_bins;
     if (capture.budget_overrun) {
@@ -231,6 +232,9 @@ Frame FpgaPipeline::finalize_frame(const FpgaCapture& capture) {
         else
             decode_channel_pulsed(capture.bins, mz, out);
     }
+    if (channels < layout_.mz_bins)
+        for (std::size_t d = 0; d < layout_.drift_bins; ++d)
+            std::ranges::fill(out.record(d).subspan(channels), 0.0);
 
     // Saturation census.
     for (const auto& b : capture.bins) report.accumulator_saturations += b.saturations();

@@ -20,6 +20,11 @@
 //  * BRAM budget: the accumulation store and transform scratch must fit the
 //    configured on-chip memory; the report says whether they do.
 //
+// In the streaming engine a frame keeps one store from first sample to
+// emission, as on the device: capture_frame() detaches the accumulation
+// into the frame's buffer (taking back the bins that buffer's previous
+// capture held), and finalize_frame() decodes it into that buffer's frame.
+//
 // Numerical fidelity of this model against the double-precision software
 // decoder is the subject of experiment E8.
 #pragma once
@@ -78,8 +83,9 @@ struct FpgaCycleReport {
 /// Accumulation state of one captured frame, detached from the pipeline so
 /// a decode worker can finalize it while the next frame streams in.
 /// Produced by FpgaPipeline::capture_frame(), consumed by finalize_frame();
-/// a spent capture can be passed back to capture_frame() to recycle its bin
-/// storage.
+/// a spent capture can be passed back to capture_frame() to reuse its bin
+/// storage, as the streaming engine does with each of a stream's frame
+/// buffers.
 struct FpgaCapture {
     std::vector<SaturatingAccumulator> bins;
     std::uint64_t capture_cycles = 0;
@@ -124,8 +130,11 @@ public:
 
     /// Decode a detached capture. Touches only decode scratch and report(),
     /// never the capture state: safe to run on a different thread than
-    /// push_samples()/capture_frame(), one finalize at a time.
-    Frame finalize_frame(const FpgaCapture& capture);
+    /// push_samples()/capture_frame(), one finalize at a time. A spent
+    /// frame of this layout passed as `reuse` receives the result, every
+    /// cell overwritten (channels a budget overrun leaves undecoded are
+    /// zeroed), so a stream's frame buffer is decoded into where it lies.
+    Frame finalize_frame(const FpgaCapture& capture, Frame reuse = {});
 
     /// Accounting for the last finalized frame.
     const FpgaCycleReport& report() const { return report_; }

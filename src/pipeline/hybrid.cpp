@@ -52,24 +52,20 @@ HybridPipeline::HybridPipeline(const prs::OversampledPrs& sequence,
     template_source_.emplace(std::move(period_samples), layout,
                              config.frames, config.averages);
     source_ = &*template_source_;
-    validate_stream(FleetStream{sequence, layout, config, {}, source_},
-                    config.decode_workers, "hybrid run");
+    validate_stream(FleetStream{sequence, layout, config, {}, source_}, "hybrid run");
 }
 
 HybridPipeline::HybridPipeline(const prs::OversampledPrs& sequence,
                                const FrameLayout& layout, RecordSource& source,
                                const HybridConfig& config)
     : sequence_(sequence), layout_(layout), source_(&source), config_(config) {
-    validate_stream(FleetStream{sequence, layout, config, {}, source_},
-                    config.decode_workers, "hybrid run");
+    validate_stream(FleetStream{sequence, layout, config, {}, source_}, "hybrid run");
 }
 
 HybridReport HybridPipeline::run() {
-    // The pool size travels in FleetConfig; every worker can hold a frame.
+    // The pool size travels in FleetConfig.
     HybridConfig stream = config_;
     stream.decode_workers = 0;
-    stream.decode_buffers =
-        std::max(config_.decode_buffers, config_.decode_workers + 1);
     std::vector<FleetStream> one;
     one.push_back(FleetStream{sequence_, layout_, std::move(stream), {}, source_});
     FleetReport fleet =

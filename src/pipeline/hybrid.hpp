@@ -27,10 +27,13 @@
 // deconvolves each closed frame inline, so ring pops pause for the decode
 // and the producer stalls exactly when the paper's architecture says it
 // shouldn't. With M >= 1 the consumer hands each closed frame to M decode
-// workers and immediately resumes popping into a recycled buffer — capture
-// and deconvolution overlap as on the real XD1. Workers decode
-// concurrently but emit through a sequence-ordered turnstile, so results
-// still complete in frame order, bit-identical to inline decode.
+// workers and immediately resumes popping into the next of M + 1 frame
+// buffers — capture and deconvolution overlap as on the real XD1. Each
+// frame is decoded in the buffer it was accumulated in, like the FPGA's
+// on-chip store; the consumer waits only when the buffer's previous frame
+// has not been emitted yet. Workers decode concurrently but emit through a
+// sequence-ordered turnstile, so results still complete in frame order,
+// bit-identical to inline decode.
 //
 // Batch transport: the producer stages up to kLinkBatchRecords (32)
 // consecutive records of one frame, clamped to the ring depth, and
@@ -144,26 +147,20 @@ struct HybridConfig {
     FpgaConfig fpga{};              ///< FPGA model parameters
 
     RingFullPolicy ring_policy = RingFullPolicy::kBlock;
-    int cpu_max_retries = 4;        ///< retry budget for transient CPU faults
-    double cpu_retry_backoff_s = 50e-6;  ///< initial retry backoff (doubles)
 
-    std::size_t decode_buffers = 2; ///< frames in flight with decode
-                                    ///< workers (one accumulating + the rest
-                                    ///< queued or decoding); must be >= 2
-                                    ///< then, and a solo run raises it to at
-                                    ///< least decode_workers + 1 so every
-                                    ///< worker can hold a frame
     std::size_t decode_workers = 0; ///< decode worker threads (0 = decode
                                     ///< inline on the consumer); results are
                                     ///< emitted in frame order whatever the
-                                    ///< count. Solo runs only: a fleet sets
-                                    ///< its pool size in FleetConfig
+                                    ///< count, from decode_workers + 1 frame
+                                    ///< buffers. Solo runs only: a fleet
+                                    ///< sets its pool size in FleetConfig
 
     /// Optional per-frame sink, called once per decoded frame with its
     /// index. Runs on whichever thread decoded the frame (a decode worker,
     /// or the consumer when decode is inline); the call sequence is frame
     /// order either way (emission is serialized through the order
-    /// turnstile).
+    /// turnstile). The frame is valid only for the duration of the call:
+    /// its buffer is refilled with a later frame afterwards.
     std::function<void(std::size_t, const Frame&)> frame_sink;
 
     /// Optional streaming analysis stage, invoked from the same ordered
@@ -184,8 +181,8 @@ struct HybridReport {
     double producer_stall_seconds = 0.0;  ///< time blocked on a full ring
     double consumer_idle_seconds = 0.0;   ///< time starved on an empty ring
     double decode_wait_seconds = 0.0;     ///< with decode workers: consumer
-                                          ///< time blocked on a free decode
-                                          ///< buffer
+                                          ///< time blocked until a frame
+                                          ///< buffer's last frame emitted
     double sample_rate = 0.0;             ///< achieved samples/second
     FpgaCycleReport fpga{};               ///< last frame (FPGA backend only)
     Frame last_frame;                     ///< last deconvolved frame

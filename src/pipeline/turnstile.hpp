@@ -11,6 +11,10 @@
 //     write the previous emission made to shared report state is visible to
 //     the next emitter without further locking (the happens-before edge the
 //     old mutex hand-off provided, now carried by the counter itself);
+//   * the same edge frees frame buffers: the engine (pipeline/fleet.cpp)
+//     keeps one buffer per frame in flight, and a stream's consumer refills
+//     frame k's buffer only after wait_until(k + 1) observes k's advance,
+//     so every read the emitter made of it happens-before the refill;
 //   * waiting uses C++20 atomic wait/notify, so a worker whose turn is far
 //     off sleeps in the kernel instead of burning a core while earlier
 //     frames are still decoding;
@@ -22,8 +26,8 @@
 // Templatized over the atomics policy (common/atomics_policy.hpp) so the
 // model checker instantiates this exact protocol; litmus units
 // `turnstile_*` in src/check/litmus.hpp exhaustively verify the ordered-
-// emission and abort paths, and the seeded mutants demote the two named
-// orders below. Note one model limitation documented in DESIGN.md: the
+// emission, buffer-reuse and abort paths, and the seeded mutants demote the
+// two named orders below. Note one model limitation documented in DESIGN.md: the
 // checker treats wait() as value-watching, so a *missing* notify (a lost-
 // wakeup bug) is outside its scope — the TSan stress suite covers that
 // path with real futexes.
@@ -38,9 +42,9 @@
 namespace htims::pipeline {
 
 /// Sequence-ordered reassembly turnstile. Turn indices are dense from 0;
-/// any number of threads may wait, one waiter per index, and each index is
-/// advanced exactly once (by the thread that emitted it). abort() may be
-/// called by any thread, more than once.
+/// any number of threads may wait, one wait_turn per index (wait_until has
+/// no such limit), and each index is advanced exactly once (by the thread
+/// that emitted it). abort() may be called by any thread, more than once.
 ///
 /// One turnstile serves ONE stream: the dense-from-0 contract means frame
 /// indices of different streams must never share an instance (stream B's
@@ -60,7 +64,7 @@ public:
         (std::numeric_limits<std::size_t>::max() >> 1) + 1;
 
     /// Returns true when it is index's turn to emit; false after abort()
-    /// (skip emission, still recycle the buffer).
+    /// (skip emission).
     bool wait_turn(std::size_t index) {
         std::size_t cur = next_.load(Atomics::turnstile_observe);
         while (cur != index) {
@@ -76,6 +80,20 @@ public:
             cur = next_.load(Atomics::turnstile_observe);
         }
         return true;
+    }
+
+    /// Blocks until the first `turn` indices have all advanced; false after
+    /// abort(). A stream's consumer calls it before it refills the buffer
+    /// of frame `turn` - 1: the acquire observation pairs with that frame's
+    /// release advance, so every read the emitter made of the buffer
+    /// happens-before the refill.
+    bool wait_until(std::size_t turn) {
+        std::size_t cur = next_.load(Atomics::turnstile_observe);
+        while (cur < turn) {
+            next_.wait(cur, Atomics::turnstile_observe);
+            cur = next_.load(Atomics::turnstile_observe);
+        }
+        return cur < kAbortFloor;
     }
 
     /// Hand the turn to the next index. Only the thread whose wait_turn just

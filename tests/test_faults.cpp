@@ -3,8 +3,10 @@
 // the CPU backend, and the FPGA model.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <string>
@@ -284,16 +286,30 @@ TEST(FaultedFpga, BudgetOverrunYieldsPartialFrame) {
     fpga.begin_frame();
     std::vector<std::uint32_t> period(layout.cells(), 2);
     fpga.push_samples(period);
-    const Frame out = fpga.end_frame();
+    const FpgaCapture capture = fpga.capture_frame();
+    const Frame out = fpga.finalize_frame(capture);
 
     const auto& report = fpga.report();
     EXPECT_TRUE(report.budget_overrun);
     EXPECT_LT(report.channels_decoded, layout.mz_bins);
+    EXPECT_EQ(report.channels_decoded, capture.channel_limit);
     // Channels past the cut stayed zero; decoded channels carry signal.
     for (std::size_t mz = report.channels_decoded; mz < layout.mz_bins; ++mz)
         for (std::size_t d = 0; d < layout.drift_bins; ++d)
             EXPECT_EQ(out.at(d, mz), 0.0);
     EXPECT_EQ(faults.injected(fault::Site::kFpgaOverrun), 1u);
+
+    // Finalized into a reused frame full of stale values, the same capture
+    // zeroes the channels past the cut and matches the fresh frame.
+    Frame reused(layout);
+    reused.fill(-3.5);
+    reused = fpga.finalize_frame(capture, std::move(reused));
+    for (std::size_t mz = capture.channel_limit; mz < layout.mz_bins; ++mz)
+        for (std::size_t d = 0; d < layout.drift_bins; ++d)
+            EXPECT_EQ(reused.at(d, mz), 0.0);
+    ASSERT_EQ(reused.data().size(), out.data().size());
+    for (std::size_t i = 0; i < out.data().size(); ++i)
+        EXPECT_EQ(reused.data()[i], out.data()[i]) << "cell " << i;
 }
 
 TEST(FaultedFpga, CleanRunReportsFullDecode) {
@@ -321,15 +337,6 @@ HybridConfig drill_config(BackendKind backend, fault::FaultInjector* faults,
     cfg.ring_policy = policy;
     cfg.faults = faults;
     return cfg;
-}
-
-TEST(FaultedHybrid, ConfigValidation) {
-    const prs::OversampledPrs seq(5, 1, prs::GateMode::kPulsed);
-    const auto layout = small_layout(seq, 8);
-    std::vector<std::uint32_t> period(layout.cells(), 1);
-    HybridConfig cfg;
-    cfg.cpu_max_retries = -1;
-    EXPECT_THROW(HybridPipeline(seq, layout, period, cfg), ConfigError);
 }
 
 TEST(FaultedHybrid, BlockPolicyAbsorbsForcedOverrunsWithoutLoss) {
@@ -387,7 +394,6 @@ TEST(FaultedHybrid, CpuRetriesSurfaceInReport) {
     fault::FaultInjector faults(fault::FaultPlan::parse("cpu.fail@0"));
     auto cfg = drill_config(BackendKind::kCpu, &faults,
                             RingFullPolicy::kBlock, 256);
-    cfg.cpu_retry_backoff_s = 0.0;
     const auto report = HybridPipeline(seq, layout, period, cfg).run();
     EXPECT_EQ(report.frames, cfg.frames);
     EXPECT_EQ(report.cpu_task_retries, 1u);
@@ -407,14 +413,12 @@ TEST(FaultedHybrid, SameSeedReproducesInjectionCountsExactly) {
         fault::FaultInjector faults(plan);
         auto cfg = drill_config(BackendKind::kCpu, &faults,
                                 RingFullPolicy::kDropNewest, 1024);
-        cfg.cpu_retry_backoff_s = 0.0;
         first = HybridPipeline(seq, layout, period, cfg).run();
     }
     {
         fault::FaultInjector faults(plan);
         auto cfg = drill_config(BackendKind::kCpu, &faults,
                                 RingFullPolicy::kDropNewest, 1024);
-        cfg.cpu_retry_backoff_s = 0.0;
         second = HybridPipeline(seq, layout, period, cfg).run();
     }
     EXPECT_EQ(first.faults, second.faults);
@@ -429,17 +433,17 @@ TEST(FaultedHybrid, SameSeedReproducesInjectionCountsExactly) {
 
 TEST(FaultedHybrid, BlockPolicyCountsAHeldConsumerAsProducerStall) {
     // Under Block a full ring makes the producer wait, and the wait is
-    // counted as stall time, never turned into a drop. The scheduled
-    // cpu.fail at frame 0's close holds the inline consumer for
-    // cpu_retry_backoff_s; the 2-record ring fills at once behind it, and
-    // the producer still has two frames to stream, so it waits out most of
-    // the 200 ms.
+    // counted as stall time, never turned into a drop. A frame sink that
+    // sleeps 200 ms on frame 0 holds the inline consumer; the 2-record ring
+    // fills at once behind it, and the producer still has two frames to
+    // stream, so it waits out most of the 200 ms.
     const prs::OversampledPrs seq(5, 1, prs::GateMode::kPulsed);
     const auto layout = small_layout(seq, 8);
     std::vector<std::uint32_t> period(layout.cells(), 1);
-    fault::FaultInjector faults(fault::FaultPlan::parse("cpu.fail@0"));
-    auto cfg = drill_config(BackendKind::kCpu, &faults, RingFullPolicy::kBlock, 2);
-    cfg.cpu_retry_backoff_s = 0.2;
+    auto cfg = drill_config(BackendKind::kCpu, nullptr, RingFullPolicy::kBlock, 2);
+    cfg.frame_sink = [](std::size_t index, const Frame&) {
+        if (index == 0) std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    };
     auto& tel = telemetry::Registry::global();
     const auto stall_observations = [&tel] {
         for (const auto& h : tel.snapshot().histograms)
@@ -449,7 +453,6 @@ TEST(FaultedHybrid, BlockPolicyCountsAHeldConsumerAsProducerStall) {
     const std::uint64_t stalls_before = stall_observations();
     const auto report = HybridPipeline(seq, layout, period, cfg).run();
     EXPECT_EQ(report.frames, cfg.frames);
-    EXPECT_EQ(report.cpu_task_retries, 1u);
     EXPECT_EQ(report.records_dropped, 0u);
     EXPECT_EQ(report.frames_degraded, 0u);
     EXPECT_GE(report.producer_stall_seconds, 0.1);
@@ -473,7 +476,6 @@ FaultedDigestRun faulted_run(BackendKind backend, RingFullPolicy policy,
     std::vector<std::uint32_t> period(layout.cells(), 1);
     fault::FaultInjector faults(fault::FaultPlan::parse(plan));
     auto cfg = drill_config(backend, &faults, policy, 1024);
-    cfg.cpu_retry_backoff_s = 0.0;
     cfg.decode_workers = overlap ? workers : 0;
     FaultedDigestRun run;
     run.digests.assign(cfg.frames, 0);
@@ -549,7 +551,6 @@ TEST(FaultedHybridOverlap, PersistentCpuFaultPropagatesFromWorker) {
         fault::FaultInjector faults(fault::FaultPlan::parse("cpu.fail=1"));
         auto cfg = drill_config(BackendKind::kCpu, &faults,
                                 RingFullPolicy::kBlock, 256);
-        cfg.cpu_retry_backoff_s = 0.0;
         cfg.decode_workers = c.overlap ? c.workers : 0;
         EXPECT_THROW(HybridPipeline(seq, layout, period, cfg).run(), Error)
             << "overlap=" << c.overlap << " workers=" << c.workers;

@@ -643,8 +643,8 @@ struct DigestRun {
     std::vector<std::uint64_t> digests;
 };
 
-DigestRun digest_run(BackendKind backend, bool overlap, std::size_t buffers = 2,
-                     std::size_t workers = 1, std::size_t ring = 256) {
+DigestRun digest_run(BackendKind backend, bool overlap, std::size_t workers = 1,
+                     std::size_t ring = 256) {
     const prs::OversampledPrs seq(6, 1, prs::GateMode::kPulsed);
     FrameLayout layout{.drift_bins = seq.length(), .mz_bins = 8,
                        .drift_bin_width_s = 1e-4};
@@ -656,7 +656,6 @@ DigestRun digest_run(BackendKind backend, bool overlap, std::size_t buffers = 2,
     cfg.frames = 4;
     cfg.averages = 2;
     cfg.cpu_threads = 2;
-    cfg.decode_buffers = buffers;
     cfg.decode_workers = overlap ? workers : 0;
     cfg.ring_records = ring;
     DigestRun run;
@@ -669,32 +668,18 @@ DigestRun digest_run(BackendKind backend, bool overlap, std::size_t buffers = 2,
     return run;
 }
 
-TEST(HybridOverlap, ConfigValidation) {
-    const prs::OversampledPrs seq(5, 1, prs::GateMode::kPulsed);
-    FrameLayout layout{.drift_bins = seq.length(), .mz_bins = 8,
-                       .drift_bin_width_s = 1e-4};
-    std::vector<std::uint32_t> period(layout.cells(), 1);
-    HybridConfig cfg;
-    cfg.decode_workers = 1;
-    cfg.decode_buffers = 1;
-    EXPECT_THROW(HybridPipeline(seq, layout, period, cfg), ConfigError);
-    // A sub-2 buffer count is inert while decode stays inline.
-    cfg.decode_workers = 0;
-    EXPECT_NO_THROW(HybridPipeline(seq, layout, period, cfg));
-}
-
 TEST(HybridOverlap, CpuDigestsMatchSynchronousPath) {
     const auto sync_run = digest_run(BackendKind::kCpu, false);
     EXPECT_EQ(digest_run(BackendKind::kCpu, true).digests, sync_run.digests);
-    // Extra buffers deepen the handoff queue without changing results.
-    EXPECT_EQ(digest_run(BackendKind::kCpu, true, 3).digests, sync_run.digests);
+    // A second worker adds a third buffer: a deeper handoff, same results.
+    EXPECT_EQ(digest_run(BackendKind::kCpu, true, 2).digests, sync_run.digests);
 }
 
 TEST(HybridOverlap, FpgaDigestsMatchSynchronousPath) {
     const auto sync_run = digest_run(BackendKind::kFpga, false);
     const auto overlap_run = digest_run(BackendKind::kFpga, true);
     EXPECT_EQ(overlap_run.digests, sync_run.digests);
-    EXPECT_EQ(digest_run(BackendKind::kFpga, true, 4).digests, sync_run.digests);
+    EXPECT_EQ(digest_run(BackendKind::kFpga, true, 3).digests, sync_run.digests);
     // The detached-capture accounting matches the synchronous reports too.
     EXPECT_EQ(overlap_run.report.fpga.capture_cycles,
               sync_run.report.fpga.capture_cycles);
@@ -709,7 +694,7 @@ TEST(HybridOverlap, MultiWorkerDigestsMatchSynchronousPath) {
     for (auto backend : {BackendKind::kCpu, BackendKind::kFpga}) {
         const auto sync_run = digest_run(backend, false);
         for (std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-            const auto run = digest_run(backend, true, 2, workers);
+            const auto run = digest_run(backend, true, workers);
             EXPECT_EQ(run.digests, sync_run.digests)
                 << "backend=" << static_cast<int>(backend)
                 << " workers=" << workers;
@@ -720,7 +705,7 @@ TEST(HybridOverlap, MultiWorkerDigestsMatchSynchronousPath) {
 
 TEST(HybridOverlap, MultiWorkerFpgaReportsMatchSynchronousAccounting) {
     const auto sync_run = digest_run(BackendKind::kFpga, false);
-    const auto run = digest_run(BackendKind::kFpga, true, 2, 4);
+    const auto run = digest_run(BackendKind::kFpga, true, 4);
     // Emission is frame-ordered, so the surviving report is the last
     // frame's — and per-frame accounting is a pure function of the capture.
     EXPECT_EQ(run.report.fpga.capture_cycles, sync_run.report.fpga.capture_cycles);
@@ -734,10 +719,10 @@ TEST(HybridOverlap, BatchSizeSweepIsBitIdentical) {
     // frames.
     const auto reference = digest_run(BackendKind::kCpu, false);
     for (std::size_t ring : {std::size_t{2}, std::size_t{8}, std::size_t{32}}) {
-        EXPECT_EQ(digest_run(BackendKind::kCpu, false, 2, 1, ring).digests,
+        EXPECT_EQ(digest_run(BackendKind::kCpu, false, 1, ring).digests,
                   reference.digests)
             << "ring=" << ring;
-        EXPECT_EQ(digest_run(BackendKind::kCpu, true, 2, 2, ring).digests,
+        EXPECT_EQ(digest_run(BackendKind::kCpu, true, 2, ring).digests,
                   reference.digests)
             << "ring=" << ring << " (overlap, 2 workers)";
     }

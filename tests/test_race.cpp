@@ -14,16 +14,19 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <numeric>
 #include <span>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
 #include "pipeline/fleet.hpp"
+#include "pipeline/frame_io.hpp"
 #include "pipeline/hybrid.hpp"
 #include "pipeline/mpmc_queue.hpp"
 #include "pipeline/spsc_ring.hpp"
@@ -425,10 +428,10 @@ TEST(RaceHybrid, BackpressuredCpuRunsStartAndStopCleanly) {
 
 // A decode worker adds a third thread and a buffer handoff to the
 // start/stop picture: producer → ring → consumer → dispatch queue → worker,
-// with frames recycled back through the stream's free list. The shallow
-// ring keeps the producer backpressured while buffers cycle at frame rate,
-// so TSan watches every edge of the handoff under load, including worker
-// join on shutdown.
+// with each buffer handed back through the stream's turnstile once its
+// frame is emitted. The shallow ring keeps the producer backpressured while
+// buffers cycle at frame rate, so TSan watches every edge of the handoff
+// under load, including worker join on shutdown.
 TEST(RaceHybrid, OverlappedFpgaDecodeStartsAndStopsCleanly) {
     const htims::prs::OversampledPrs seq(5, 1, htims::prs::GateMode::kPulsed);
     const htims::pipeline::FrameLayout layout{
@@ -458,8 +461,7 @@ TEST(RaceHybrid, OverlappedCpuDecodeStartsAndStopsCleanly) {
     cfg.frames = 3;
     cfg.cpu_threads = 2;
     cfg.ring_records = 2;
-    cfg.decode_workers = 1;
-    cfg.decode_buffers = 3;  // deeper free list: worker and consumer overlap
+    cfg.decode_workers = 1;  // two buffers: consumer and worker alternate
     for (int run = 0; run < 3; ++run) {
         htims::pipeline::HybridPipeline pipeline(seq, layout, period, cfg);
         const auto report = pipeline.run();
@@ -467,12 +469,52 @@ TEST(RaceHybrid, OverlappedCpuDecodeStartsAndStopsCleanly) {
     }
 }
 
+// The consumer must wait for a buffer: with one worker a stream has two,
+// and a sink that sleeps ~10 ms per frame keeps each frame's emission (and
+// so its buffer) far behind the link. The consumer's wait_until is then on
+// the hot path, and TSan watches the emitter's reads of a buffer against
+// the consumer's refill of it.
+TEST(RaceHybrid, ConsumerWaitsForABufferBehindASlowSink) {
+    const htims::prs::OversampledPrs seq(5, 1, htims::prs::GateMode::kPulsed);
+    const htims::pipeline::FrameLayout layout{
+        .drift_bins = seq.length(), .mz_bins = 8, .drift_bin_width_s = 1e-4};
+    std::vector<std::uint32_t> period(layout.cells());
+    for (std::size_t i = 0; i < period.size(); ++i)
+        period[i] = static_cast<std::uint32_t>(i % 11);
+    const auto run = [&](std::size_t workers) {
+        htims::pipeline::HybridConfig cfg;
+        cfg.backend = htims::pipeline::BackendKind::kCpu;
+        cfg.frames = 8;
+        cfg.averages = 2;
+        cfg.cpu_threads = 1;
+        cfg.decode_workers = workers;
+        std::vector<std::uint64_t> digests(cfg.frames, 0);
+        cfg.frame_sink = [&digests](std::size_t index,
+                                    const htims::pipeline::Frame& frame) {
+            digests.at(index) = htims::pipeline::frame_digest(frame);
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        };
+        const auto report =
+            htims::pipeline::HybridPipeline(seq, layout, period, cfg).run();
+        EXPECT_EQ(report.frames, 8u);
+        return std::pair(digests, report.decode_wait_seconds);
+    };
+    const auto [inline_digests, inline_wait] = run(0);
+    const auto [pool_digests, pool_wait] = run(1);
+    EXPECT_EQ(pool_digests, inline_digests);
+    EXPECT_EQ(inline_wait, 0.0);  // inline decode never waits for a buffer
+    // Frames 2..7 each wait for the emission two frames back, which sleeps
+    // 10 ms: half of one such sleep proves the consumer blocked, rather
+    // than timing a buffer that was already free.
+    EXPECT_GT(pool_wait, 0.005);
+}
+
 // Multiple decode workers add the ordered-emission turnstile and per-worker
 // backend instances to the shutdown picture: consumer → dispatch queue → N
-// workers → turnstile → sink, buffers recycling through the free list.
-// Start/stop churn across runs gives TSan the spawn/join edges; the shallow
-// ring plus a free list barely deeper than the worker count keeps every
-// handoff contended.
+// workers → turnstile → sink, each buffer handed back to the consumer by
+// its frame's emission. Start/stop churn across runs gives TSan the
+// spawn/join edges; the shallow ring plus one buffer per worker and one
+// more keeps every handoff contended.
 TEST(RaceHybrid, MultiWorkerFpgaDecodeChurnsCleanly) {
     const htims::prs::OversampledPrs seq(5, 1, htims::prs::GateMode::kPulsed);
     const htims::pipeline::FrameLayout layout{
@@ -498,7 +540,7 @@ TEST(RaceHybrid, MultiWorkerFpgaDecodeChurnsCleanly) {
 
 // A fleet multiplies the thread census: per-stream producers and consumers,
 // the shared MPMC dispatch queue, the worker pool, and per-stream turnstile
-// and free-pool traffic all start and stop together. These tests keep every
+// and buffer traffic all start and stop together. These tests keep every
 // one of those edges contended (shallow rings, a full dispatch queue) so
 // the TSan stage watches the fleet's full protocol surface under load.
 
@@ -539,11 +581,11 @@ TEST(RaceFleet, StartStopChurnWithMixedBackends) {
 }
 
 TEST(RaceFleet, DispatchQueueFullKeepsEveryStreamCompleting) {
-    // Many CPU streams, one worker: each CPU consumer can queue all of its
-    // decode buffers at once and a single worker drains slowly, so the
-    // queue runs at its fullest — every stream's buffers queued — while
-    // the ticket recycle path runs constantly. The queue must hold them
-    // all; a consumer that met a full queue would stall.
+    // Many CPU streams, one worker: each CPU consumer can queue every
+    // buffer but the one it fills, and a single worker drains slowly, so
+    // the queue runs near its fullest while the ticket recycle path runs
+    // constantly. The queue must hold them all; a consumer that met a full
+    // queue would stall.
     for (int round = 0; round < 3; ++round) {
         std::vector<htims::pipeline::FleetStream> streams;
         for (std::size_t si = 0; si < 4; ++si) {

@@ -330,6 +330,11 @@ TEST_P(CpuBackendParity, BatchedMatchesScalarIncludingRaggedTail) {
     const Frame scalar = cpu.deconvolve_scalar(raw);
     for (std::size_t i = 0; i < batched.data().size(); ++i)
         ASSERT_NEAR(batched.data()[i], scalar.data()[i], kParityTol) << "i=" << i;
+    // In place (the streaming engine's decode): bit-identical, tiles and
+    // ragged tail alike.
+    cpu.deconvolve(raw, raw);
+    for (std::size_t i = 0; i < batched.data().size(); ++i)
+        ASSERT_EQ(raw.data()[i], batched.data()[i]) << "i=" << i;
 }
 
 // 3: below any lane width (all tail); 19: 2 tiles of 8 + 3 or 4 tiles of
@@ -350,6 +355,9 @@ TEST(CpuBackend, StretchedModeBatchedMatchesScalar) {
     const Frame scalar = cpu.deconvolve_scalar(raw);
     for (std::size_t i = 0; i < batched.data().size(); ++i)
         ASSERT_NEAR(batched.data()[i], scalar.data()[i], kParityTol);
+    cpu.deconvolve(raw, raw);  // in place: bit-identical
+    for (std::size_t i = 0; i < batched.data().size(); ++i)
+        ASSERT_EQ(raw.data()[i], batched.data()[i]) << "i=" << i;
 }
 
 TEST(CpuBackend, SustainedRateAveragesOverAllFrames) {
