@@ -20,6 +20,9 @@
 // Per-stream and aggregate p50/p99 close-to-emission frame latency ride in
 // the fleet report; BENCH_E16.json carries the sweep's scalars plus the
 // largest paced point's full fleet report under `fleet.largest_paced.`.
+// A run whose agg4_x misses the bar also prints the pacing it was measured
+// at and each 4-stream paced stream's rate, wall, producer stall, decode
+// wait and p99 latency, so the failure names the stream that stalled.
 //
 //   --tiny   smoke configuration for scripts/check.sh (seconds, not minutes)
 #include <algorithm>
@@ -207,13 +210,17 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(16.0 * frame_service_s * 1e9);
     double paced1_rate = 0.0;
     double agg4_x = 0.0;
+    pipeline::FleetReport paced4;
     pipeline::FleetReport largest_paced;
     for (const std::size_t n : shape.sweep) {
         auto report = run_fleet(n, frame_period_ns);
         if (n == 1) paced1_rate = report.sample_rate;
         const double speedup =
             paced1_rate > 0.0 ? report.sample_rate / paced1_rate : 0.0;
-        if (n == 4) agg4_x = speedup;
+        if (n == 4) {
+            agg4_x = speedup;
+            paced4 = report;
+        }
         add_row("paced", n, report, speedup);
         largest_paced = std::move(report);
     }
@@ -224,9 +231,30 @@ int main(int argc, char** argv) {
               << " Msamples/s (1/16 of burst capacity); paced aggregate at 4 "
                  "streams vs solo: x"
               << format_double(agg4_x, 2) << " (acceptance >= 2x)\n";
-    if (agg4_x < 2.0)
+    if (agg4_x < 2.0) {
         std::cout << "REGRESSION: fleet.agg4_x " << format_double(agg4_x, 2)
                   << " below the 2x shared-pool scaling bar\n";
+        // Say why: the pacing the bar was derived from, then where each
+        // stream of the 4-stream run spent its wall time.
+        std::cout << "  frame period "
+                  << format_double(static_cast<double>(frame_period_ns) / 1e6, 3)
+                  << " ms = 16 x burst-1 wall "
+                  << format_double(burst1_wall * 1e3, 3) << " ms / "
+                  << shape.frames << " frames\n";
+        for (std::size_t si = 0; si < paced4.streams.size(); ++si) {
+            const pipeline::FleetStreamReport& s = paced4.streams[si];
+            std::cout << "  paced4 stream " << si << ": "
+                      << format_double(s.report.sample_rate / 1e6, 3)
+                      << " Msamples/s, wall "
+                      << format_double(s.report.wall_seconds * 1e3, 3)
+                      << " ms, producer stall "
+                      << format_double(s.report.producer_stall_seconds * 1e3, 3)
+                      << " ms, decode wait "
+                      << format_double(s.report.decode_wait_seconds * 1e3, 3)
+                      << " ms, p99 latency "
+                      << format_double(s.frame_latency.p99 / 1e6, 3) << " ms\n";
+        }
+    }
 
     meta.scalars.emplace_back("fleet.agg4_x", agg4_x);
     meta.scalars.emplace_back("fleet.burst4_x", burst4_x);

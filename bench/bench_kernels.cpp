@@ -1,8 +1,9 @@
 // Kernel microbenchmarks (google-benchmark): the computational primitives
 // whose cost determines every throughput number in E3/E4 — FWHT (scalar and
 // lane-blocked batch), the fast simplex decode (scalar and batched), the
-// enhanced oversampled decode, the FPGA integer decode path, and the SPSC
-// streaming link. Besides the console table, the run emits a
+// enhanced oversampled decode, the FPGA integer decode path, the SPSC
+// streaming link, and the CRC-32 every container and store write and read
+// runs. Besides the console table, the run emits a
 // BENCH_KERNELS.json run report (htims.telemetry.v1): every benchmark's
 // items/s as a scalar, plus the scalar-vs-batched speedups the batched
 // deconvolution path is gated on — so the kernel perf trajectory stays
@@ -202,6 +203,38 @@ static void BM_SpscRingBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SpscRingBatch)->Arg(8)->Arg(64)->Arg(256);
 
+// CRC-32 over one replay-shaped frame container payload (order-8,
+// oversampling-2 PRS x 256 m/z doubles = 1,044,480 bytes): the bytewise
+// oracle and the dispatched kernel. Items are bytes.
+template <typename Kernel>
+static void BM_Crc32(benchmark::State& state, Kernel kernel) {
+    std::vector<unsigned char> bytes(std::size_t{510} * 256 * sizeof(double));
+    Rng rng(5);
+    for (auto& b : bytes) b = static_cast<unsigned char>(rng.below(256));
+    for (auto _ : state) {
+        const std::uint32_t crc = kernel(bytes.data(), bytes.size());
+        benchmark::DoNotOptimize(crc);
+    }
+    const auto processed = static_cast<std::int64_t>(state.iterations()) *
+                           static_cast<std::int64_t>(bytes.size());
+    state.SetItemsProcessed(processed);
+    state.SetBytesProcessed(processed);
+}
+BENCHMARK_CAPTURE(BM_Crc32, bytewise, &crc32_bytewise);
+BENCHMARK_CAPTURE(BM_Crc32, dispatched, &crc32);
+
+// Whether crc32() dispatches the PCLMULQDQ fold: at the x86 AVX2 and
+// AVX-512 tiers of a CPU that reports pclmul (common/crc32.cpp). Anywhere
+// else it runs the bytewise loop itself, and there is no margin to gate.
+static bool crc32_folds() {
+#if defined(__x86_64__) || defined(__i386__)
+    return simd_tier() != SimdTier::kGeneric &&
+           __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+#else
+    return false;
+#endif
+}
+
 namespace {
 
 // Optional producer/consumer pinning for the threaded ring bench, selected
@@ -378,6 +411,21 @@ int main(int argc, char** argv) {
     if (stream1 > 0.0 && stream64 > 0.0)
         meta.scalars.emplace_back("speedup.ring_stream_batch",
                                   stream64 / stream1);
+
+    const double crc_bytewise =
+        find_scalar(meta, "BM_Crc32/bytewise.items_per_second");
+    const double crc_dispatched =
+        find_scalar(meta, "BM_Crc32/dispatched.items_per_second");
+    if (crc_bytewise > 0.0 && crc_dispatched > 0.0) {
+        const double speedup = crc_dispatched / crc_bytewise;
+        meta.scalars.emplace_back("speedup.crc32", speedup);
+        // The bar E19 set for the Hamming kernels: a fold that no longer
+        // clears 4x over its byte-at-a-time oracle puts the checksum back
+        // on the store's critical path.
+        if (crc32_folds() && speedup < 4.0)
+            std::cout << "REGRESSION: speedup.crc32 " << speedup
+                      << " < 4.0 (dispatched CRC-32 vs bytewise oracle)\n";
+    }
 
     bench::write_report("BENCH_KERNELS.json", meta);
     return 0;

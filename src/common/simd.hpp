@@ -1,4 +1,7 @@
-// simd.hpp — runtime CPU-dispatch shim for the batched (multi-lane) kernels.
+// simd.hpp — runtime CPU dispatch for the SIMD kernels: the batched FWHT
+// (transform/fwht_batch.cpp), the Hamming distance of the HD analysis stage
+// (common/hamming.cpp) and the CRC-32 of every frame container and store
+// structure (common/crc32.cpp).
 //
 // The batched deconvolution path widens its butterflies to L contiguous
 // doubles per node; how wide L should be, and which kernel variant runs, is
@@ -70,5 +73,20 @@ std::optional<std::uint64_t> hamming_distance_at_tier(SimdTier tier,
                                                       const std::uint64_t* a,
                                                       const std::uint64_t* b,
                                                       std::size_t words);
+
+/// CRC-32 (IEEE 802.3: reflected polynomial 0xEDB88320, initial value and
+/// final XOR 0xFFFFFFFF) of a byte buffer: the integrity check of every
+/// frame container (pipeline/frame_io) and store superblock, index and
+/// footer (store/frame_store). Dispatched once per process: a 4x128-bit
+/// PCLMULQDQ fold with Barrett reduction at the AVX2 and AVX-512 tiers
+/// when the CPU reports pclmul, crc32_bytewise everywhere else. Both
+/// compute the same remainder, so the bytes a container or store holds do
+/// not depend on the host.
+std::uint32_t crc32(const void* data, std::size_t bytes);
+
+/// Byte-at-a-time table loop: crc32()'s kernel at the generic and NEON
+/// tiers, and the oracle the parity tests and the kernel bench compare the
+/// fold against.
+std::uint32_t crc32_bytewise(const void* data, std::size_t bytes);
 
 }  // namespace htims

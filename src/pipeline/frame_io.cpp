@@ -10,6 +10,7 @@
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
+#include "common/simd.hpp"
 #include "fault/fault.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -36,20 +37,6 @@ struct Header {
 };
 static_assert(sizeof(Header) == 64, "frame header must be 64 bytes");
 
-const std::array<std::uint32_t, 256>& crc_table() {
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
-            t[i] = c;
-        }
-        return t;
-    }();
-    return table;
-}
-
 std::uint32_t header_crc_of(Header header) {
     header.header_crc = 0;
     return crc32(&header, sizeof(header));
@@ -69,16 +56,24 @@ Header make_header(const Frame& frame, std::uint64_t seq) {
     return header;
 }
 
-}  // namespace
-
-std::uint32_t crc32(const void* data, std::size_t bytes) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    const auto& table = crc_table();
-    std::uint32_t crc = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < bytes; ++i)
-        crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
-    return crc ^ 0xFFFFFFFFu;
+/// Every test a header alone can fail: magic, version, header CRC and a
+/// plausible layout. Returns the layout it describes.
+FrameLayout checked_layout(const Header& header) {
+    if (header.magic != kMagic) throw Error("frame read failed: bad magic");
+    if (header.version != kVersion)
+        throw Error("frame read failed: unsupported version " +
+                    std::to_string(header.version));
+    if (header_crc_of(header) != header.header_crc)
+        throw Error("frame read failed: header CRC mismatch");
+    if (header.drift_bins == 0 || header.mz_bins == 0 ||
+        header.drift_bins > (1u << 24) || header.mz_bins > (1u << 24))
+        throw Error("frame read failed: implausible layout");
+    return FrameLayout{.drift_bins = static_cast<std::size_t>(header.drift_bins),
+                       .mz_bins = static_cast<std::size_t>(header.mz_bins),
+                       .drift_bin_width_s = header.drift_bin_width_s};
 }
+
+}  // namespace
 
 std::uint64_t fnv1a64(const void* data, std::size_t bytes, std::uint64_t seed) {
     const auto* p = static_cast<const unsigned char*>(data);
@@ -122,36 +117,30 @@ std::size_t serialize_frame(const Frame& frame, std::span<std::byte> dst,
     return total;
 }
 
-Frame parse_frame(std::span<const std::byte> bytes, std::size_t* consumed,
-                  std::uint64_t* seq) {
+FrameLayout check_frame(std::span<const std::byte> bytes, std::size_t* consumed,
+                        std::uint64_t* seq) {
     if (bytes.size() < sizeof(Header))
         throw Error("frame read failed: truncated header");
     Header header{};
     std::memcpy(&header, bytes.data(), sizeof(header));
-    if (header.magic != kMagic) throw Error("frame read failed: bad magic");
-    if (header.version != kVersion)
-        throw Error("frame read failed: unsupported version " +
-                    std::to_string(header.version));
-    if (header_crc_of(header) != header.header_crc)
-        throw Error("frame read failed: header CRC mismatch");
-    if (header.drift_bins == 0 || header.mz_bins == 0 ||
-        header.drift_bins > (1u << 24) || header.mz_bins > (1u << 24))
-        throw Error("frame read failed: implausible layout");
-
-    FrameLayout layout{.drift_bins = static_cast<std::size_t>(header.drift_bins),
-                       .mz_bins = static_cast<std::size_t>(header.mz_bins),
-                       .drift_bin_width_s = header.drift_bin_width_s};
-    Frame frame(layout);
-    HTIMS_DCHECK(frame.data().size() == layout.cells(),
-                 "decoded frame storage matches the validated header");
-    const std::size_t payload_bytes = frame.data().size() * sizeof(double);
+    const FrameLayout layout = checked_layout(header);
+    const std::size_t payload_bytes = layout.cells() * sizeof(double);
     if (bytes.size() - sizeof(Header) < payload_bytes)
         throw Error("frame read failed: truncated payload");
-    std::memcpy(frame.data().data(), bytes.data() + sizeof(Header), payload_bytes);
-    if (crc32(frame.data().data(), payload_bytes) != header.payload_crc)
+    if (crc32(bytes.data() + sizeof(Header), payload_bytes) != header.payload_crc)
         throw Error("frame read failed: payload CRC mismatch");
     *consumed = sizeof(Header) + payload_bytes;
     if (seq != nullptr) *seq = header.reserved1[0];
+    return layout;
+}
+
+Frame parse_frame(std::span<const std::byte> bytes, std::size_t* consumed,
+                  std::uint64_t* seq) {
+    Frame frame(check_frame(bytes, consumed, seq));
+    const auto cells = frame.data();
+    HTIMS_DCHECK(sizeof(Header) + cells.size_bytes() == *consumed,
+                 "decoded frame storage matches the validated header");
+    std::memcpy(cells.data(), bytes.data() + sizeof(Header), cells.size_bytes());
     return frame;
 }
 
@@ -203,20 +192,7 @@ Frame read_frame(std::istream& is) {
     if (!is) throw Error("frame read failed: truncated header");
     Header header{};
     std::memcpy(&header, header_bytes.data(), sizeof(header));
-    if (header.magic != kMagic) throw Error("frame read failed: bad magic");
-    if (header.version != kVersion)
-        throw Error("frame read failed: unsupported version " +
-                    std::to_string(header.version));
-    if (header_crc_of(header) != header.header_crc)
-        throw Error("frame read failed: header CRC mismatch");
-    if (header.drift_bins == 0 || header.mz_bins == 0 ||
-        header.drift_bins > (1u << 24) || header.mz_bins > (1u << 24))
-        throw Error("frame read failed: implausible layout");
-
-    FrameLayout layout{.drift_bins = static_cast<std::size_t>(header.drift_bins),
-                       .mz_bins = static_cast<std::size_t>(header.mz_bins),
-                       .drift_bin_width_s = header.drift_bin_width_s};
-    Frame frame(layout);
+    Frame frame(checked_layout(header));
     const std::size_t payload_bytes = frame.data().size() * sizeof(double);
     is.read(reinterpret_cast<char*>(frame.data().data()),
             static_cast<std::streamsize>(payload_bytes));

@@ -36,10 +36,6 @@ class FaultInjector;
 
 namespace htims::pipeline {
 
-/// CRC-32 (IEEE 802.3, reflected) of a byte buffer; the integrity check of
-/// the frame container. Exposed for tests and other containers.
-std::uint32_t crc32(const void* data, std::size_t bytes);
-
 /// FNV-1a 64-bit hash of a byte buffer; the digest primitive golden
 /// regression fixtures pin in-source.
 std::uint64_t fnv1a64(const void* data, std::size_t bytes,
@@ -65,11 +61,16 @@ std::size_t frame_container_bytes(const Frame& frame);
 std::size_t serialize_frame(const Frame& frame, std::span<std::byte> dst,
                             std::uint64_t seq = 0);
 
-/// Validate and decode one v2 container at the start of `bytes`. Throws
-/// htims::Error on bad magic, unsupported version, header CRC mismatch,
-/// implausible layout, truncated payload, or payload CRC mismatch. On
-/// success `*consumed` receives the container byte count and, when non-null,
-/// `*seq` the sequence tag the frame was written with.
+/// Validate one v2 container at the start of `bytes` in place, copying
+/// nothing. Throws htims::Error on bad magic, unsupported version, header
+/// CRC mismatch, implausible layout, truncated payload, or payload CRC
+/// mismatch. On success returns the frame's layout; `*consumed` receives
+/// the container byte count and, when non-null, `*seq` the sequence tag the
+/// frame was written with.
+FrameLayout check_frame(std::span<const std::byte> bytes, std::size_t* consumed,
+                        std::uint64_t* seq = nullptr);
+
+/// check_frame(), then a copy of the payload into a new Frame.
 Frame parse_frame(std::span<const std::byte> bytes, std::size_t* consumed,
                   std::uint64_t* seq = nullptr);
 

@@ -4,6 +4,7 @@
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
+#include "common/simd.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace htims::store {
@@ -61,12 +62,12 @@ std::size_t page_align(std::size_t bytes) {
 
 std::uint32_t superblock_crc(Superblock sb) {
     sb.crc = 0;
-    return pipeline::crc32(&sb, sizeof(sb));
+    return crc32(&sb, sizeof(sb));
 }
 
 std::uint32_t footer_crc_of(Footer footer) {
     footer.footer_crc = 0;
-    return pipeline::crc32(&footer, sizeof(footer));
+    return crc32(&footer, sizeof(footer));
 }
 
 telemetry::Gauge& bytes_mapped_gauge() {
@@ -197,7 +198,7 @@ void FrameStoreWriter::finalize() {
     footer.frame_count = entries_.size();
     footer.index_offset = index_offset;
     footer.data_end = data_end_;
-    footer.index_crc = pipeline::crc32(index_dst, index_bytes);
+    footer.index_crc = crc32(index_dst, index_bytes);
     footer.footer_crc = footer_crc_of(footer);
     std::memcpy(map_.data() + footer_offset, &footer, sizeof(footer));
 
@@ -235,7 +236,7 @@ FrameStoreReader::FrameStoreReader(const std::string& path) {
             footer.index_offset >= kStorePageBytes &&
             footer.index_offset + index_bytes + sizeof(Footer) == bytes.size() &&
             footer.data_end <= footer.index_offset &&
-            pipeline::crc32(bytes.data() + footer.index_offset, index_bytes) ==
+            crc32(bytes.data() + footer.index_offset, index_bytes) ==
                 footer.index_crc) {
             bool entries_ok = true;
             entries_.reserve(footer.frame_count);
@@ -277,7 +278,7 @@ FrameStoreReader::FrameStoreReader(const std::string& path) {
             static_cast<std::int64_t>(recovery_stats_.frames_lost));
 }
 
-pipeline::Frame FrameStoreReader::frame(std::size_t i) const {
+pipeline::FrameLayout FrameStoreReader::verify(std::size_t i) const {
     const FrameEntry& e = entry(i);
     const auto bytes = map_.span();
     if (e.offset >= bytes.size())
@@ -287,12 +288,24 @@ pipeline::Frame FrameStoreReader::frame(std::size_t i) const {
         (e.bytes + kStorePageBytes - 1) / kStorePageBytes));
     std::size_t consumed = 0;
     std::uint64_t seq = 0;
-    pipeline::Frame frame = pipeline::parse_frame(
+    const pipeline::FrameLayout layout = pipeline::check_frame(
         bytes.subspan(e.offset, std::min<std::size_t>(e.bytes, bytes.size() - e.offset)),
         &consumed, &seq);
     if (consumed != e.bytes || seq != e.seq)
         throw Error("frame store: entry " + std::to_string(i) +
                     " does not match its indexed identity");
+    return layout;
+}
+
+pipeline::Frame FrameStoreReader::frame(std::size_t i) const {
+    pipeline::Frame frame(verify(i));
+    // verify() matched the slot's size to the container, so the payload is
+    // the last cells-worth of bytes of the slot.
+    const auto cells = frame.data();
+    const FrameEntry& e = entry(i);
+    std::memcpy(cells.data(),
+                map_.span().data() + e.offset + e.bytes - cells.size_bytes(),
+                cells.size_bytes());
     return frame;
 }
 

@@ -142,15 +142,22 @@ public:
     std::size_t frames() const { return entries_.size(); }
     const FrameEntry& entry(std::size_t i) const { return entries_.at(i); }
 
-    /// Parse and verify frame i straight out of the mapping. Throws
-    /// htims::Error when the slot is damaged (torn page, corruption) —
-    /// use scan() for counted skip-over-losses reading.
+    /// Verify frame i in place, copying nothing: the container's checks
+    /// (magic, version, header CRC, plausible layout, payload length,
+    /// payload CRC; pipeline::check_frame) and the slot's identity (its
+    /// container fills exactly the indexed bytes and carries the indexed
+    /// seq). Returns the frame's layout. Throws htims::Error when the slot
+    /// is damaged (torn page, corruption).
+    pipeline::FrameLayout verify(std::size_t i) const;
+
+    /// verify(i), then a copy of the payload out of the mapping. Throws as
+    /// verify() does; use scan() for counted skip-over-losses reading.
     pipeline::Frame frame(std::size_t i) const;
 
     /// Unverified zero-copy payload view of entry i: the row-major float64
     /// cells straight out of the mapping (page-aligned slot + 64-byte
     /// header keeps them 8-byte aligned). No CRC is rechecked — for callers
-    /// that validated the entry once via frame() and then serve it hot, the
+    /// that checked the entry once with verify() and then serve it hot, the
     /// replay path's warm loop.
     std::span<const double> payload(std::size_t i) const;
 

@@ -48,13 +48,13 @@ ReplaySource::ReplaySource(const FrameStoreReader& reader,
     // One record per drift bin at the instrument's cadence.
     record_period_ns_ = reader.layout().drift_bin_width_s * 1e9;
 
-    // Validate every slot once; replay then serves only intact frames, in
-    // stored order, remembering each one's live frame index.
+    // Verify every slot once, in place; replay then serves only intact
+    // frames, in stored order, remembering each one's live frame index.
     intact_.reserve(reader.frames());
     seqs_.reserve(reader.frames());
     for (std::size_t i = 0; i < reader.frames(); ++i) {
         try {
-            (void)reader.frame(i);
+            (void)reader.verify(i);
             intact_.push_back(i);
             seqs_.push_back(reader.entry(i).seq);
         } catch (const Error&) {

@@ -2,7 +2,7 @@
 //
 // ReplaySource adapts a FrameStoreReader to the pipeline's RecordSource
 // interface: each stored frame (a period template tagged with its live
-// frame index) is parsed out of the read-only mapping on demand, converted
+// frame index) is read out of the read-only mapping on demand, converted
 // back to the uint32 sample records the link carries, and handed to the
 // producer as runs of contiguous rows — at the recorded line rate (rate_x = 1), a scaled
 // rate, or as fast as the link accepts (rate_x = 0).
@@ -38,8 +38,8 @@ struct ReplayConfig {
     double rate_x = 0.0;
 
     /// Runs whose converted uint32 image fits this budget are made fully
-    /// resident during construction (validation already parses every frame,
-    /// so conversion rides along for free) — record_block() then serves
+    /// resident during construction (validation has just paged in every
+    /// frame, so conversion rides along cheaply) — record_block() then serves
     /// pure span lookups at template-source speed. Larger runs stream through a
     /// bounded slot ring sized by set_window(), converting frames on first
     /// touch as the window slides.
@@ -50,8 +50,9 @@ struct ReplayConfig {
 /// pipeline's producer thread), like every RecordSource.
 class ReplaySource final : public pipeline::RecordSource {
 public:
-    /// Validates every stored frame once (CRC + parse) and keeps the intact
-    /// ones; damaged frames are dropped here and counted in skipped().
+    /// Verifies every stored frame once in place (FrameStoreReader::verify)
+    /// and keeps the intact ones; damaged frames are dropped here and
+    /// counted in skipped().
     ReplaySource(const FrameStoreReader& reader, const ReplayConfig& config);
 
     /// Intact frames available for replay.

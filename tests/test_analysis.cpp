@@ -8,6 +8,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "common/statistics.hpp"
 #include "core/feature_finder.hpp"
 #include "core/mass_calibration.hpp"
@@ -356,7 +357,8 @@ TEST(FrameIO, CrcMismatchReportsCleanDecodeError) {
 TEST(FrameIO, Crc32KnownVector) {
     // CRC-32 of "123456789" is the classic check value 0xCBF43926.
     const char data[] = "123456789";
-    EXPECT_EQ(pipeline::crc32(data, 9), 0xCBF43926u);
+    EXPECT_EQ(crc32(data, 9), 0xCBF43926u);
+    EXPECT_EQ(crc32_bytewise(data, 9), 0xCBF43926u);
 }
 
 // ---------------------------------------------------------------- TDC ----

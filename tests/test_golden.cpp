@@ -10,6 +10,7 @@
 // with a deliberate algorithm change.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 #include <vector>
 
@@ -31,6 +32,11 @@ constexpr std::uint64_t kCpuDecodeDigest = 0x83C371BD082DDA6AULL;
 // identically — the E8 fidelity claim as a bit-equality.
 constexpr std::uint64_t kFpgaDecodeDigest = 0x83C371BD082DDA6AULL;
 constexpr std::uint64_t kHybridBlockDigest = 0xDCB9426F2ACBFC99ULL;
+// The v2 container checksums serialize_frame writes for the golden frame
+// (seq 0). Every container and store holds CRC-32s computed the same way,
+// so these pin the on-disk bytes whichever CRC kernel the host dispatches.
+constexpr std::uint32_t kGoldenPayloadCrc = 0xAAE47371u;
+constexpr std::uint32_t kGoldenHeaderCrc = 0x6E372E18u;
 
 FrameLayout golden_layout(const prs::OversampledPrs& seq) {
     return FrameLayout{.drift_bins = seq.length(), .mz_bins = 32,
@@ -101,6 +107,21 @@ TEST(Golden, HybridBlockRunDigestPinned) {
     const auto report = HybridPipeline(seq, layout, period, cfg).run();
     EXPECT_EQ(report.records_dropped, 0u);
     EXPECT_EQ(frame_digest(report.last_frame), kHybridBlockDigest);
+}
+
+TEST(Golden, ContainerChecksumsPinned) {
+    const prs::OversampledPrs seq(6, 2, prs::GateMode::kPulsed);
+    const Frame frame = golden_raw(golden_layout(seq), 42);
+    std::vector<std::byte> bytes(frame_container_bytes(frame));
+    ASSERT_EQ(serialize_frame(frame, bytes), bytes.size());
+    // Header: magic, version, drift_bins, mz_bins, drift_bin_width_s
+    // (32 bytes), then payload_crc and header_crc.
+    std::uint32_t payload_crc = 0;
+    std::uint32_t header_crc = 0;
+    std::memcpy(&payload_crc, bytes.data() + 32, sizeof(payload_crc));
+    std::memcpy(&header_crc, bytes.data() + 36, sizeof(header_crc));
+    EXPECT_EQ(payload_crc, kGoldenPayloadCrc);
+    EXPECT_EQ(header_crc, kGoldenHeaderCrc);
 }
 
 TEST(Golden, ContainerRoundTripPreservesDigest) {

@@ -2,7 +2,8 @@
 // dispatch shim, fwht_batch vs per-lane scalar FWHT, Deconvolver /
 // EnhancedDeconvolver decode_batch parity against the scalar oracle
 // (including ragged lane counts), the Frame tile transpose, the grained
-// ThreadPool::parallel_for, and the CpuBackend batched frame path.
+// ThreadPool::parallel_for, the CpuBackend batched frame path, and the
+// dispatched CRC-32 kernel against the bytewise oracle.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -381,6 +382,40 @@ TEST(CpuBackend, SustainedRateAveragesOverAllFrames) {
                             static_cast<double>(layout.cells()) * 3.0 /
                             cpu.total_seconds();
     EXPECT_NEAR(cpu.sustained_sample_rate(averages), expected, expected * 1e-9);
+}
+
+// ---------------------------------------------------------------- crc32 ----
+// The full run checks the host's kernel (the PCLMULQDQ fold on x86 hosts
+// that report pclmul); check.sh's HTIMS_SIMD=generic rerun of the `kernels`
+// label checks the table loop the other tiers dispatch.
+
+std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
+    std::vector<unsigned char> bytes(n);
+    Rng rng(seed);
+    for (auto& b : bytes) b = static_cast<unsigned char>(rng.below(256));
+    return bytes;
+}
+
+TEST(Crc32, DispatchedMatchesBytewiseAtEveryLengthAndOffset) {
+    // Lengths 0-1024 cross the fold's 64-byte minimum, its 64-byte main
+    // loop, its 16-byte single folds and every tail length; offsets 0-15
+    // put each of them at every 16-byte alignment.
+    const auto bytes = random_bytes(1024 + 16, 2026);
+    for (std::size_t offset = 0; offset < 16; ++offset)
+        for (std::size_t len = 0; len <= 1024; ++len)
+            ASSERT_EQ(crc32(bytes.data() + offset, len),
+                      crc32_bytewise(bytes.data() + offset, len))
+                << "tier " << simd_tier_name(simd_tier()) << ", offset "
+                << offset << ", length " << len;
+}
+
+TEST(Crc32, DispatchedMatchesBytewiseOnAFramePayload) {
+    // One order-8, oversampling-2 frame of 256 m/z bins: 510 x 256 doubles.
+    const auto bytes = random_bytes(std::size_t{510} * 256 * sizeof(double), 7);
+    ASSERT_EQ(bytes.size(), 1044480u);
+    EXPECT_EQ(crc32(bytes.data(), bytes.size()),
+              crc32_bytewise(bytes.data(), bytes.size()))
+        << "tier " << simd_tier_name(simd_tier());
 }
 
 }  // namespace
