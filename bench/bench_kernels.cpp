@@ -1,9 +1,9 @@
 // Kernel microbenchmarks (google-benchmark): the computational primitives
 // whose cost determines every throughput number in E3/E4 — FWHT (scalar and
 // lane-blocked batch), the fast simplex decode (scalar and batched), the
-// enhanced oversampled decode, the FPGA integer decode path, the SPSC
-// streaming link, and the CRC-32 every container and store write and read
-// runs. Besides the console table, the run emits a
+// enhanced oversampled decode, the FPGA model's integer decode and capture,
+// the SPSC streaming link, and the CRC-32 every container and store write
+// and read runs. Besides the console table, the run emits a
 // BENCH_KERNELS.json run report (htims.telemetry.v1): every benchmark's
 // items/s as a scalar, plus the scalar-vs-batched speedups the batched
 // deconvolution path is gated on — so the kernel perf trajectory stays
@@ -169,6 +169,33 @@ static void BM_FpgaFrameDecode(benchmark::State& state) {
                             static_cast<std::int64_t>(layout.cells()));
 }
 BENCHMARK(BM_FpgaFrameDecode);
+
+// FPGA capture at perfbench's replay shape (order-8, oversampling-2 PRS x
+// 256 m/z, 4 averages): one frame's samples streamed one TOF record per
+// push_samples call, as the perfbench accumulate layer feeds them, into
+// 32-bit accumulation words. Items are samples.
+static void BM_FpgaAccumulate(benchmark::State& state) {
+    const prs::OversampledPrs seq(8, 2, prs::GateMode::kPulsed);
+    pipeline::FrameLayout layout{.drift_bins = seq.length(),
+                                 .mz_bins = 256,
+                                 .drift_bin_width_s = 1e-4};
+    constexpr std::size_t kAverages = 4;
+    pipeline::FpgaPipeline fpga(seq, layout, pipeline::FpgaConfig{});
+    std::vector<std::uint32_t> period(layout.cells());
+    Rng rng(5);
+    for (auto& s : period) s = static_cast<std::uint32_t>(rng.below(4096));
+    const std::span<const std::uint32_t> samples(period);
+    for (auto _ : state) {
+        fpga.begin_frame();
+        for (std::size_t a = 0; a < kAverages; ++a)
+            for (std::size_t d = 0; d < layout.drift_bins; ++d)
+                fpga.push_samples(samples.subspan(d * layout.mz_bins, layout.mz_bins));
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(kAverages * layout.cells()));
+}
+BENCHMARK(BM_FpgaAccumulate);
 
 static void BM_SpscRing(benchmark::State& state) {
     pipeline::SpscRing<std::uint64_t> ring(1024);

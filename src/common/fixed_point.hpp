@@ -8,9 +8,11 @@
 // *saturating* overflow behaviour, exactly as a DSP48/BRAM datapath would be
 // configured. The representation is runtime-parameterised (rather than a
 // template on the widths) because the precision sweep in experiment E8 needs
-// to iterate over formats.
+// to iterate over formats. ShiftQuantizer is the integer form of the
+// FPGA model's output register (pipeline/fpga.cpp).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -121,46 +123,46 @@ private:
     std::int64_t raw_ = 0;
 };
 
-/// Saturating integer accumulator with a fixed word width — the model of one
-/// BRAM-backed accumulation bin. Counts how many adds saturated so the
-/// pipeline can report overflow pressure (the FPGA equivalent of an
-/// overflow status register).
-class SaturatingAccumulator {
+/// The output register of an integer datapath whose words carry `shift`
+/// fractional bits (a word w stands for w / 2^shift): requantizes w into
+/// `fmt`, rounding and saturating exactly as Fixed(w / 2^shift, fmt) does,
+/// in integers. When fmt keeps fewer fractional bits than the word it
+/// shifts right, rounding half away from zero, and clamps to the rails;
+/// otherwise it shifts left, saturating at the rails. The two agree wherever
+/// the Fixed path's double is exact (|w| < 2^53).
+class ShiftQuantizer {
 public:
-    explicit SaturatingAccumulator(int bits = 32) : bits_(bits) {
-        if (bits < 2 || bits > 63) throw ConfigError("accumulator width must be in [2,63]");
-        max_ = (std::int64_t{1} << (bits - 1)) - 1;
-        min_ = -(std::int64_t{1} << (bits - 1));
+    ShiftQuantizer(int shift, QFormat fmt)
+        : fmt_(fmt),
+          down_(fmt.frac_bits < shift),
+          k_(down_ ? shift - fmt.frac_bits : fmt.frac_bits - shift),
+          lsb_(fmt.lsb()) {
+        validate(fmt);
+        if (shift < 0 || shift > 62) throw ConfigError("quantizer shift must be in [0, 62]");
     }
 
-    void add(std::int64_t delta) {
-        const __int128 sum = static_cast<__int128>(value_) + delta;
-        if (sum > max_) {
-            value_ = max_;
-            ++saturations_;
-        } else if (sum < min_) {
-            value_ = min_;
-            ++saturations_;
-        } else {
-            value_ = static_cast<std::int64_t>(sum);
+    std::int64_t raw(std::int64_t w) const {
+        if (down_) {
+            // floor((|w| + half) / 2^k) with w's sign: for w < 0 that is
+            // floor((w + half - 1) / 2^k), so one arithmetic shift serves both.
+            const std::int64_t half = std::int64_t{1} << (k_ - 1);
+            const std::int64_t r = (w + half - (w < 0 ? 1 : 0)) >> k_;
+            return std::clamp(r, fmt_.min_raw(), fmt_.max_raw());
         }
+        if (w > (fmt_.max_raw() >> k_)) return fmt_.max_raw();
+        if (w < (fmt_.min_raw() >> k_)) return fmt_.min_raw();
+        return w * (std::int64_t{1} << k_);
     }
 
-    std::int64_t value() const { return value_; }
-    std::uint64_t saturations() const { return saturations_; }
-    int bits() const { return bits_; }
-
-    void reset() {
-        value_ = 0;
-        saturations_ = 0;
-    }
+    /// raw(w) in value units; lsb is a power of two, so the product is
+    /// Fixed::to_double()'s quotient bit for bit.
+    double value(std::int64_t w) const { return static_cast<double>(raw(w)) * lsb_; }
 
 private:
-    int bits_;
-    std::int64_t max_ = 0;
-    std::int64_t min_ = 0;
-    std::int64_t value_ = 0;
-    std::uint64_t saturations_ = 0;
+    QFormat fmt_;
+    bool down_;
+    int k_;
+    double lsb_;
 };
 
 }  // namespace htims

@@ -1,7 +1,8 @@
 // simd.hpp — runtime CPU dispatch for the SIMD kernels: the batched FWHT
 // (transform/fwht_batch.cpp), the Hamming distance of the HD analysis stage
-// (common/hamming.cpp) and the CRC-32 of every frame container and store
-// structure (common/crc32.cpp).
+// (common/hamming.cpp), the CRC-32 of every frame container and store
+// structure (common/crc32.cpp) and the FPGA model's saturating accumulate
+// (common/accumulate.cpp).
 //
 // The batched deconvolution path widens its butterflies to L contiguous
 // doubles per node; how wide L should be, and which kernel variant runs, is
@@ -88,5 +89,15 @@ std::uint32_t crc32(const void* data, std::size_t bytes);
 /// tiers, and the oracle the parity tests and the kernel bench compare the
 /// fold against.
 std::uint32_t crc32_bytewise(const void* data, std::size_t bytes);
+
+/// Saturating accumulate of `count` samples into `count` words: each
+/// bins[i] += samples[i], clamped to `rail`, and the return value counts the
+/// adds the clamp cut. The FPGA model's capture (pipeline/fpga.cpp) runs it
+/// over each contiguous run of frame cells. Requires bins[i] <= rail <
+/// 2^62, so no add can overflow. Dispatched once per process: four words
+/// per register at the AVX2 and AVX-512 tiers, a scalar loop elsewhere;
+/// both are exact, so every tier leaves the same words and count.
+std::uint64_t saturating_accumulate(std::int64_t* bins, const std::uint32_t* samples,
+                                    std::size_t count, std::int64_t rail);
 
 }  // namespace htims

@@ -6,11 +6,24 @@
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
+#include "common/simd.hpp"
 #include "fault/fault.hpp"
 #include "telemetry/telemetry.hpp"
 #include "transform/fwht.hpp"
 
 namespace htims::pipeline {
+
+namespace {
+
+/// m/z channels decoded per tile: one cache line of int64 words per bin row.
+constexpr std::size_t kTileLanes = 8;
+
+std::int64_t accumulator_rail(int bits) {
+    if (bits < 2 || bits > 63) throw ConfigError("accumulator width must be in [2,63]");
+    return (std::int64_t{1} << (bits - 1)) - 1;
+}
+
+}  // namespace
 
 FpgaPipeline::FpgaPipeline(const prs::OversampledPrs& sequence, const FrameLayout& layout,
                            const FpgaConfig& config)
@@ -18,22 +31,25 @@ FpgaPipeline::FpgaPipeline(const prs::OversampledPrs& sequence, const FrameLayou
       base_(sequence.base()),
       layout_(layout),
       config_(config),
-      order_(sequence.base().order()) {
+      order_(sequence.base().order()),
+      rail_(accumulator_rail(config.accumulator_bits)),
+      quantizer_(order_ - 1, config.output_format) {
     if (layout.drift_bins != sequence.length())
         throw ConfigError("frame drift bins must equal the sequence fine-grid length");
     if (config.clock_hz <= 0.0) throw ConfigError("FPGA clock must be positive");
     if (config.samples_per_cycle < 1 || config.butterflies_per_cycle < 1 ||
         config.deconv_engines < 1)
         throw ConfigError("FPGA parallelism parameters must be >= 1");
-    validate(config.output_format);
 
-    bins_.assign(layout.cells(), SaturatingAccumulator(config.accumulator_bits));
+    bins_.assign(layout.cells(), 0);
     const std::size_t n = base_.length();
-    chan_.resize(n);
-    pad_.resize(n + 1);
-    w_.resize(n);
-    if (sequence_.mode() == prs::GateMode::kStretched && sequence_.factor() > 1)
-        zstack_.resize(sequence_.length());
+    const auto f = static_cast<std::size_t>(sequence_.factor());
+    tile_.resize((n + 1) * kTileLanes);
+    if (sequence_.mode() == prs::GateMode::kStretched && f > 1) {
+        zstack_.resize(f * n * kTileLanes);
+        integral_.resize(f * n);
+        diff_.resize(n);
+    }
 
     bram_bytes_used_ =
         layout.cells() * static_cast<std::size_t>(config.accumulator_bits) / 8 +
@@ -43,11 +59,13 @@ FpgaPipeline::FpgaPipeline(const prs::OversampledPrs& sequence, const FrameLayou
     report_.fits_bram = fits_bram_;
 
     HTIMS_CHECK(bins_.size() == layout.cells(), "one accumulator bin per frame cell");
-    HTIMS_CHECK(n > 0 && pad_.size() == n + 1, "deconvolution scratch sized to sequence");
+    HTIMS_CHECK(n > 0 && tile_.size() == (n + 1) * kTileLanes,
+                "decode tile sized to sequence");
 }
 
 void FpgaPipeline::begin_frame() {
-    for (auto& b : bins_) b.reset();
+    std::ranges::fill(bins_, 0);
+    saturations_ = 0;
     stream_pos_ = 0;
     frame_samples_ = 0;
     capture_cycles_ = 0;
@@ -56,9 +74,14 @@ void FpgaPipeline::begin_frame() {
 void FpgaPipeline::push_samples(std::span<const std::uint32_t> samples) {
     const std::size_t cells = bins_.size();
     HTIMS_DCHECK(stream_pos_ < cells, "stream cursor within the frame");
-    for (std::uint32_t s : samples) {
-        bins_[stream_pos_].add(static_cast<std::int64_t>(s));
-        if (++stream_pos_ == cells) stream_pos_ = 0;  // next period, same map
+    // One clamp-add run per stretch of cells up to the period wrap.
+    for (std::size_t done = 0; done < samples.size();) {
+        const std::size_t run = std::min(samples.size() - done, cells - stream_pos_);
+        saturations_ += saturating_accumulate(bins_.data() + stream_pos_,
+                                              samples.data() + done, run, rail_);
+        done += run;
+        stream_pos_ += run;
+        if (stream_pos_ == cells) stream_pos_ = 0;  // next period, same map
     }
     frame_samples_ += samples.size();
     capture_cycles_ += (samples.size() +
@@ -69,6 +92,7 @@ void FpgaPipeline::push_samples(std::span<const std::uint32_t> samples) {
 FpgaCapture FpgaPipeline::capture_frame(FpgaCapture reuse) {
     FpgaCapture capture;
     capture.bins = std::move(bins_);
+    capture.saturations = saturations_;
     capture.capture_cycles = capture_cycles_;
     capture.frame_samples = frame_samples_;
     // A fired kFpgaOverrun models the decode window closing early. The
@@ -89,113 +113,106 @@ FpgaCapture FpgaPipeline::capture_frame(FpgaCapture reuse) {
     }
     if (reuse.bins.size() == layout_.cells()) {
         bins_ = std::move(reuse.bins);
-        for (auto& b : bins_) b.reset();
+        std::ranges::fill(bins_, 0);
     } else {
-        bins_.assign(layout_.cells(), SaturatingAccumulator(config_.accumulator_bits));
+        bins_.assign(layout_.cells(), 0);
     }
+    saturations_ = 0;
     stream_pos_ = 0;
     frame_samples_ = 0;
     capture_cycles_ = 0;
     return capture;
 }
 
-void FpgaPipeline::integer_decode(const std::vector<std::int64_t>& y,
-                                  std::vector<std::int64_t>& w_out) {
+void FpgaPipeline::transform_phase(const FpgaCapture& capture, std::size_t r,
+                                   std::size_t mz0, std::size_t lanes) {
     const std::size_t n = base_.length();
-    std::fill(pad_.begin(), pad_.end(), 0LL);
+    const auto f = static_cast<std::size_t>(sequence_.factor());
+    const std::size_t m = layout_.mz_bins;
+    // Hoisted bound for every bin row the gather below reads.
+    HTIMS_DCHECK(r < f && lanes <= kTileLanes && mz0 + lanes <= m &&
+                     (f * (n - 1) + r) * m + mz0 + lanes <= capture.bins.size(),
+                 "tile gather reads inside the bin array");
     const auto scatter = base_.scatter_index();
+    std::int64_t* tile = tile_.data();
+    const std::int64_t* row = capture.bins.data() + r * m + mz0;
+    std::fill_n(tile, lanes, std::int64_t{0});  // node 0 is the zero pad
+    for (std::size_t q = 0; q < n; ++q, row += f * m)
+        std::copy_n(row, lanes, tile + std::size_t{scatter[q]} * lanes);
+    transform::fwht_batch(std::span(tile, (n + 1) * lanes), lanes);
+}
+
+void FpgaPipeline::decode_tile_pulsed(const FpgaCapture& capture, std::size_t mz0,
+                                      std::size_t lanes, Frame& out) {
+    const std::size_t n = base_.length();
+    const auto f = static_cast<std::size_t>(sequence_.factor());
     const auto gather = base_.gather_index();
-    for (std::size_t t = 0; t < n; ++t) pad_[scatter[t]] = y[t];
-    transform::fwht_i64(pad_);
-    for (std::size_t k = 0; k < n; ++k) w_out[k] = -pad_[gather[k]];
-}
-
-namespace {
-
-/// Convert w = 2^(order-1) * x (exact integer) into the output Q-format,
-/// with round-to-nearest and saturation — the output-register boundary.
-double quantize_out(std::int64_t w, int order, const QFormat& fmt) {
-    const int shift = order - 1;
-    const double value = static_cast<double>(w) / static_cast<double>(1LL << shift);
-    return Fixed(value, fmt).to_double();
-}
-
-}  // namespace
-
-void FpgaPipeline::decode_channel_pulsed(const std::vector<SaturatingAccumulator>& bins,
-                                         std::size_t mz, Frame& out) {
-    const std::size_t n = base_.length();
-    const auto f = static_cast<std::size_t>(sequence_.factor());
-    const std::size_t m = layout_.mz_bins;
-    // Hoisted bound for every bin index the phase loops touch below.
-    HTIMS_DCHECK(f >= 1 && mz < m && (f * (n - 1) + (f - 1)) * m + mz < bins.size(),
-                 "channel decode reads inside the bin array");
     for (std::size_t r = 0; r < f; ++r) {
-        for (std::size_t q = 0; q < n; ++q)
-            chan_[q] = bins[(f * q + r) * m + mz].value();
-        integer_decode(chan_, w_);
-        for (std::size_t p = 0; p < n; ++p)
-            out.at(f * p + r, mz) = quantize_out(w_[p], order_, config_.output_format);
-    }
-}
-
-void FpgaPipeline::decode_channel_stretched(
-    const std::vector<SaturatingAccumulator>& bins, std::size_t mz, Frame& out) {
-    const std::size_t n = base_.length();
-    const auto f = static_cast<std::size_t>(sequence_.factor());
-    const std::size_t m = layout_.mz_bins;
-    HTIMS_DCHECK(f >= 1 && mz < m && (f * (n - 1) + (f - 1)) * m + mz < bins.size(),
-                 "channel decode reads inside the bin array");
-    HTIMS_DCHECK(zstack_.size() == f * n, "phase stack sized to F chip profiles");
-
-    // Z_r in w-units (exact integers).
-    for (std::size_t r = 0; r < f; ++r) {
-        for (std::size_t q = 0; q < n; ++q)
-            chan_[q] = bins[(f * q + r) * m + mz].value();
-        integer_decode(chan_, w_);
-        std::copy(w_.begin(), w_.end(), zstack_.begin() + static_cast<std::ptrdiff_t>(r * n));
-    }
-    const std::int64_t* w_total = zstack_.data() + (f - 1) * n;  // Z_{F-1}
-
-    // Quiet-chip anchor.
-    std::size_t q0 = 0;
-    for (std::size_t q = 1; q < n; ++q)
-        if (w_total[q] < w_total[q0]) q0 = q;
-
-    // Integrate the circular difference equations per phase.
-    std::vector<std::int64_t> d(n), p_r(n);
-    std::int64_t sum_w = 0;
-    for (std::size_t q = 0; q < n; ++q) sum_w += w_total[q];
-    std::int64_t sum_p = 0;
-    for (std::size_t r = 0; r < f; ++r) {
-        const std::int64_t* zr = zstack_.data() + r * n;
-        if (r == 0) {
-            for (std::size_t q = 0; q < n; ++q) d[q] = zr[q] - w_total[(q + n - 1) % n];
-        } else {
-            const std::int64_t* zp = zstack_.data() + (r - 1) * n;
-            for (std::size_t q = 0; q < n; ++q) d[q] = zr[q] - zp[q];
-        }
-        p_r[q0] = 0;
-        for (std::size_t s = 1; s < n; ++s) {
-            const std::size_t q = (q0 + s) % n;
-            p_r[q] = p_r[(q0 + s - 1) % n] + d[q];
-        }
+        transform_phase(capture, r, mz0, lanes);
         for (std::size_t p = 0; p < n; ++p) {
-            // Stash the unanchored integral; constant added after the loop.
-            out.at(f * p + r, mz) = static_cast<double>(p_r[p]);
-            sum_p += p_r[p];
+            const std::int64_t* w = tile_.data() + std::size_t{gather[p]} * lanes;
+            double* row = out.record(f * p + r).data() + mz0;
+            for (std::size_t l = 0; l < lanes; ++l) row[l] = quantizer_.value(-w[l]);
         }
     }
-    // Distribute the constant so sum_r X_r matches W in the mean.
-    const double alpha =
-        static_cast<double>(sum_w - sum_p) / static_cast<double>(n * f);
-    for (std::size_t p = 0; p < n; ++p)
-        for (std::size_t r = 0; r < f; ++r) {
-            const double w_val = out.at(f * p + r, mz) + alpha;
-            out.at(f * p + r, mz) = quantize_out(
-                static_cast<std::int64_t>(std::llround(w_val)), order_,
-                config_.output_format);
+}
+
+void FpgaPipeline::decode_tile_stretched(const FpgaCapture& capture, std::size_t mz0,
+                                         std::size_t lanes, Frame& out) {
+    const std::size_t n = base_.length();
+    const auto f = static_cast<std::size_t>(sequence_.factor());
+    HTIMS_DCHECK(zstack_.size() >= f * n * lanes && integral_.size() == f * n &&
+                     diff_.size() == n,
+                 "stretched scratch sized to F chip profiles per lane");
+
+    // Z_r in w-units (exact integers), lane-interleaved: zstack_[(r n + q) L + l].
+    const auto gather = base_.gather_index();
+    for (std::size_t r = 0; r < f; ++r) {
+        transform_phase(capture, r, mz0, lanes);
+        std::int64_t* zr = zstack_.data() + r * n * lanes;
+        for (std::size_t q = 0; q < n; ++q) {
+            const std::int64_t* w = tile_.data() + std::size_t{gather[q]} * lanes;
+            for (std::size_t l = 0; l < lanes; ++l) zr[q * lanes + l] = -w[l];
         }
+    }
+
+    for (std::size_t l = 0; l < lanes; ++l) {
+        const auto z = [&](std::size_t r, std::size_t q) {
+            return zstack_[(r * n + q) * lanes + l];
+        };
+        // Quiet-chip anchor of W = Z_{F-1}.
+        std::size_t q0 = 0;
+        std::int64_t sum_w = z(f - 1, 0);
+        for (std::size_t q = 1; q < n; ++q) {
+            if (z(f - 1, q) < z(f - 1, q0)) q0 = q;
+            sum_w += z(f - 1, q);
+        }
+
+        // Integrate the circular difference equations per phase.
+        std::int64_t sum_p = 0;
+        for (std::size_t r = 0; r < f; ++r) {
+            for (std::size_t q = 0; q < n; ++q)
+                diff_[q] = r == 0 ? z(0, q) - z(f - 1, q == 0 ? n - 1 : q - 1)
+                                  : z(r, q) - z(r - 1, q);
+            std::int64_t* p_r = integral_.data() + r * n;
+            p_r[q0] = 0;
+            for (std::size_t s = 1, prev = q0; s < n; ++s) {
+                const std::size_t q = prev + 1 == n ? 0 : prev + 1;
+                p_r[q] = p_r[prev] + diff_[q];
+                prev = q;
+            }
+            for (std::size_t p = 0; p < n; ++p) sum_p += p_r[p];
+        }
+        // Distribute the constant so sum_r X_r matches W in the mean.
+        const double alpha =
+            static_cast<double>(sum_w - sum_p) / static_cast<double>(n * f);
+        for (std::size_t p = 0; p < n; ++p)
+            for (std::size_t r = 0; r < f; ++r) {
+                const double w_val = static_cast<double>(integral_[r * n + p]) + alpha;
+                out.at(f * p + r, mz0 + l) =
+                    quantizer_.value(static_cast<std::int64_t>(std::llround(w_val)));
+            }
+    }
 }
 
 Frame FpgaPipeline::end_frame() { return finalize_frame(capture_frame()); }
@@ -226,18 +243,20 @@ Frame FpgaPipeline::finalize_frame(const FpgaCapture& capture, Frame reuse) {
     }
     report.channels_decoded = channels;
 
-    for (std::size_t mz = 0; mz < channels; ++mz) {
+    HTIMS_CHECK(capture.bins.size() == layout_.cells() && channels <= layout_.mz_bins,
+                "capture matches the pipeline's layout");
+    for (std::size_t mz0 = 0; mz0 < channels; mz0 += kTileLanes) {
+        const std::size_t lanes = std::min(kTileLanes, channels - mz0);
         if (stretched)
-            decode_channel_stretched(capture.bins, mz, out);
+            decode_tile_stretched(capture, mz0, lanes, out);
         else
-            decode_channel_pulsed(capture.bins, mz, out);
+            decode_tile_pulsed(capture, mz0, lanes, out);
     }
     if (channels < layout_.mz_bins)
         for (std::size_t d = 0; d < layout_.drift_bins; ++d)
             std::ranges::fill(out.record(d).subspan(channels), 0.0);
 
-    // Saturation census.
-    for (const auto& b : capture.bins) report.accumulator_saturations += b.saturations();
+    report.accumulator_saturations = capture.saturations;
 
     // Cycle model: per channel, per phase: scatter N + gather N + butterflies;
     // stretched adds ~3 F N integer adds for the phase recombination.

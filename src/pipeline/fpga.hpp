@@ -7,12 +7,18 @@
 //
 //  * capture/accumulation: one ADC word per cycle streams into
 //    BRAM-modelled accumulation bins with *saturating* integer adds of a
-//    configurable word width (overflow pressure is reported, not hidden);
+//    configurable word width (overflow pressure is reported, not hidden).
+//    Each bin is one int64 word clamped at the width's rail, and a capture
+//    keeps one saturation count;
 //  * deconvolution: the simplex inverse runs entirely in integer/fixed
 //    point. Because N + 1 is a power of two, the 2/(N+1) normalization is
 //    an exact shift — the FWHT butterflies are adds/subtracts only, so the
-//    whole decoder maps to adder fabric with no multipliers. Results are
-//    quantized into a configurable Q-format at the output boundary;
+//    whole decoder maps to adder fabric with no multipliers. The model
+//    decodes a tile of adjacent m/z channels at a time, as parallel decode
+//    engines would: those channels sit side by side in each bin row, so a
+//    tile loads without a transpose and transforms through the int64
+//    fwht_batch. Results are quantized into a configurable Q-format at the
+//    output boundary, in integers (ShiftQuantizer);
 //  * cycle accounting: every stage charges cycles under a configurable
 //    clock and number of parallel butterfly units / deconvolution engines,
 //    yielding the sustained-throughput numbers experiment E3 compares with
@@ -32,6 +38,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/aligned_buffer.hpp"
 #include "common/fixed_point.hpp"
 #include "pipeline/frame.hpp"
 #include "prs/oversampled.hpp"
@@ -87,7 +94,11 @@ struct FpgaCycleReport {
 /// storage, as the streaming engine does with each of a stream's frame
 /// buffers.
 struct FpgaCapture {
-    std::vector<SaturatingAccumulator> bins;
+    /// One accumulation word per frame cell, drift-major like the frame;
+    /// each word at most the pipeline's rail, 2^(accumulator_bits-1) - 1.
+    AlignedVector<std::int64_t> bins;
+    /// Adds that hit the rail, over every word: the overflow status register.
+    std::uint64_t saturations = 0;
     std::uint64_t capture_cycles = 0;
     std::uint64_t frame_samples = 0;
     /// Decode-window fault, drawn at capture time so the injector's event
@@ -155,23 +166,27 @@ public:
     double sustained_sample_rate(std::size_t averages) const;
 
 private:
-    void decode_channel_pulsed(const std::vector<SaturatingAccumulator>& bins,
-                               std::size_t mz, Frame& out);
-    void decode_channel_stretched(const std::vector<SaturatingAccumulator>& bins,
-                                  std::size_t mz, Frame& out);
-
-    /// One integer simplex decode: input in acc units, output scaled by
-    /// 2^(order-1) (i.e. w = -(N+1)/2 * x, exact in int64).
-    void integer_decode(const std::vector<std::int64_t>& y, std::vector<std::int64_t>& w_out);
+    /// Load phase r of the `lanes` m/z channels from mz0 into tile_ and
+    /// transform them: afterwards w_p = -tile_[gather[p] * lanes + l] is
+    /// 2^(order-1) times chip p's decoded value, exact in int64.
+    void transform_phase(const FpgaCapture& capture, std::size_t r, std::size_t mz0,
+                         std::size_t lanes);
+    void decode_tile_pulsed(const FpgaCapture& capture, std::size_t mz0,
+                            std::size_t lanes, Frame& out);
+    void decode_tile_stretched(const FpgaCapture& capture, std::size_t mz0,
+                               std::size_t lanes, Frame& out);
 
     prs::OversampledPrs sequence_;
     transform::Deconvolver base_;
     FrameLayout layout_;
     FpgaConfig config_;
     int order_;
+    std::int64_t rail_;          ///< accumulation word maximum, from accumulator_bits
+    ShiftQuantizer quantizer_;   ///< w (order-1 fraction bits) -> output_format
 
     fault::FaultInjector* faults_ = nullptr;
-    std::vector<SaturatingAccumulator> bins_;
+    AlignedVector<std::int64_t> bins_;
+    std::uint64_t saturations_ = 0;     ///< rail hits this frame
     std::size_t stream_pos_ = 0;
     std::uint64_t frame_samples_ = 0;   ///< samples streamed into this frame
     std::uint64_t capture_cycles_ = 0;  ///< ingest cycles charged this frame
@@ -181,11 +196,13 @@ private:
     std::uint64_t total_deconv_cycles_ = 0;  ///< across all finalized frames
     std::uint64_t frames_finalized_ = 0;     ///< frames finalize_frame() ran
 
-    // Integer scratch.
-    std::vector<std::int64_t> chan_;       // one phase, length N
-    std::vector<long long> pad_;           // FWHT buffer, length N + 1
-    std::vector<std::int64_t> w_;          // decode output, length N
-    std::vector<std::int64_t> zstack_;     // stretched mode Z_r stack, F * N
+    // Decode scratch: one lane-interleaved transform tile, (N + 1) x lanes;
+    // stretched mode adds the F phase profiles Z_r of a tile, F x N x
+    // lanes, and one lane's integration, F x N plus N differences.
+    AlignedVector<std::int64_t> tile_;
+    std::vector<std::int64_t> zstack_;
+    std::vector<std::int64_t> integral_;
+    std::vector<std::int64_t> diff_;
 };
 
 }  // namespace htims::pipeline

@@ -8,16 +8,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 
 namespace htims::transform {
 
 /// In-place unnormalized FWHT. `data.size()` must be a power of two.
 void fwht(std::span<double> data);
-
-/// In-place unnormalized FWHT over 64-bit integers (exact; used by the
-/// fixed-point FPGA pipeline model where all arithmetic is integral).
-void fwht_i64(std::span<long long> data);
 
 /// In-place batched FWHT over `lanes` interleaved transforms. `data` is
 /// lane-interleaved (AoSoA): node j of lane l lives at data[j * lanes + l],
@@ -30,6 +27,12 @@ void fwht_i64(std::span<long long> data);
 /// common/simd.hpp); any lane count is accepted, multiples of the register
 /// width are the fast path.
 void fwht_batch(std::span<double> data, std::size_t lanes);
+
+/// The same batched transform over 64-bit integers, through the same kernel
+/// table: the fixed-point FPGA model's decode, where every butterfly is an
+/// exact integer add or subtract. Each lane equals fwht() of that lane in
+/// doubles wherever the doubles are exact (every partial sum below 2^53).
+void fwht_batch(std::span<std::int64_t> data, std::size_t lanes);
 
 /// True if n is a nonzero power of two.
 constexpr bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }

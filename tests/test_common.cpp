@@ -143,22 +143,6 @@ TEST(FixedPoint, InvalidFormatRejected) {
     EXPECT_THROW(validate(QFormat{16, 16}), ConfigError);
 }
 
-TEST(SaturatingAccumulator, CountsSaturations) {
-    SaturatingAccumulator acc(8);  // [-128, 127]
-    for (int i = 0; i < 100; ++i) acc.add(2);
-    EXPECT_EQ(acc.value(), 127);
-    EXPECT_GT(acc.saturations(), 0u);
-    acc.reset();
-    EXPECT_EQ(acc.value(), 0);
-    EXPECT_EQ(acc.saturations(), 0u);
-}
-
-TEST(SaturatingAccumulator, NegativeRail) {
-    SaturatingAccumulator acc(8);
-    acc.add(-1000);
-    EXPECT_EQ(acc.value(), -128);
-}
-
 // --------------------------------------------------------- Statistics ----
 
 TEST(Statistics, RunningStatsMatchesBatch) {

@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -31,6 +33,16 @@ constexpr std::uint64_t kCpuDecodeDigest = 0x83C371BD082DDA6AULL;
 // QFormat{24,6} (the CPU result's grid is coarser), so the two paths digest
 // identically — the E8 fidelity claim as a bit-equality.
 constexpr std::uint64_t kFpgaDecodeDigest = 0x83C371BD082DDA6AULL;
+// The FPGA model's decode layouts beyond the pulsed golden frame: stretched
+// gating, an m/z width that no decode tile divides, a budget-overrun partial
+// frame cut inside a tile, and the exact saturation census of a capture
+// whose push_samples span wraps the period boundary.
+constexpr std::uint64_t kFpgaStretchedDigest = 0x0321C5CA5475DB63ULL;
+constexpr std::uint64_t kFpgaRaggedMzDigest = 0xC73315FD36BDE86BULL;
+constexpr std::uint64_t kFpgaPartialFrameDigest = 0xA1F1D05B858A4D39ULL;
+constexpr std::uint64_t kFpgaSaturations8Bit = 12477;
+constexpr std::uint64_t kFpgaSaturations12Bit = 561;
+constexpr std::uint64_t kFpgaSaturated12BitDigest = 0x6C2D589FF0B0B26CULL;
 constexpr std::uint64_t kHybridBlockDigest = 0xDCB9426F2ACBFC99ULL;
 // The v2 container checksums serialize_frame writes for the golden frame
 // (seq 0). Every container and store holds CRC-32s computed the same way,
@@ -92,6 +104,66 @@ TEST(Golden, FpgaDecodeDigestPinned) {
     fpga.begin_frame();
     fpga.push_samples(to_period_samples(raw, 1));
     EXPECT_EQ(frame_digest(fpga.end_frame()), kFpgaDecodeDigest);
+}
+
+/// One period of the golden input through a default-configured FPGA model.
+Frame fpga_golden_frame(const prs::OversampledPrs& seq, const FrameLayout& layout) {
+    FpgaPipeline fpga(seq, layout, FpgaConfig{});
+    fpga.begin_frame();
+    fpga.push_samples(to_period_samples(golden_raw(layout, 42), 1));
+    return fpga.end_frame();
+}
+
+TEST(Golden, FpgaStretchedDigestPinned) {
+    const prs::OversampledPrs seq(6, 2, prs::GateMode::kStretched);
+    EXPECT_EQ(frame_digest(fpga_golden_frame(seq, golden_layout(seq))),
+              kFpgaStretchedDigest);
+}
+
+TEST(Golden, FpgaRaggedMzDigestPinned) {
+    const prs::OversampledPrs seq(6, 2, prs::GateMode::kPulsed);
+    const FrameLayout layout{.drift_bins = seq.length(), .mz_bins = 33,
+                             .drift_bin_width_s = 1e-4};
+    EXPECT_EQ(frame_digest(fpga_golden_frame(seq, layout)), kFpgaRaggedMzDigest);
+}
+
+TEST(Golden, FpgaPartialFrameDigestPinned) {
+    const prs::OversampledPrs seq(6, 2, prs::GateMode::kPulsed);
+    const auto layout = golden_layout(seq);
+    FpgaPipeline fpga(seq, layout, FpgaConfig{});
+    fpga.push_samples(to_period_samples(golden_raw(layout, 42), 1));
+    FpgaCapture capture = fpga.capture_frame();
+    // What a fired kFpgaOverrun leaves: 13 of 32 channels decoded.
+    capture.budget_overrun = true;
+    capture.channel_limit = 13;
+    const Frame partial = fpga.finalize_frame(capture);
+    EXPECT_EQ(fpga.report().channels_decoded, 13u);
+    EXPECT_EQ(frame_digest(partial), kFpgaPartialFrameDigest);
+}
+
+TEST(Golden, FpgaSaturationCountsPinned) {
+    const prs::OversampledPrs seq(6, 2, prs::GateMode::kPulsed);
+    const auto layout = golden_layout(seq);
+    // Three periods and a bit of samples below 900: a 12-bit word (rail
+    // 2047) saturates on some cells, an 8-bit one (rail 127) on most adds.
+    std::vector<std::uint32_t> samples(3 * layout.cells() + 1000);
+    Rng rng(7);
+    for (auto& s : samples) s = static_cast<std::uint32_t>(rng.below(900));
+    const auto run = [&](int bits) {
+        FpgaConfig cfg;
+        cfg.accumulator_bits = bits;
+        FpgaPipeline fpga(seq, layout, cfg);
+        const std::span<const std::uint32_t> all(samples);
+        fpga.push_samples(all.first(1000));
+        // One span that wraps the period boundary three times.
+        fpga.push_samples(all.subspan(1000));
+        const Frame out = fpga.end_frame();
+        return std::pair{fpga.report().accumulator_saturations, frame_digest(out)};
+    };
+    EXPECT_EQ(run(8).first, kFpgaSaturations8Bit);
+    const auto [saturations12, digest12] = run(12);
+    EXPECT_EQ(saturations12, kFpgaSaturations12Bit);
+    EXPECT_EQ(digest12, kFpgaSaturated12BitDigest);
 }
 
 TEST(Golden, HybridBlockRunDigestPinned) {

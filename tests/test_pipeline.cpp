@@ -427,6 +427,34 @@ TEST(Fpga, NarrowAccumulatorSaturates) {
     EXPECT_GT(fpga.report().accumulator_saturations, 0u);
 }
 
+TEST(Fpga, CountsSaturationsExactly) {
+    const prs::OversampledPrs seq(5, 1, prs::GateMode::kPulsed);
+    FrameLayout layout{.drift_bins = seq.length(), .mz_bins = 4,
+                       .drift_bin_width_s = 1e-4};
+    FpgaConfig cfg;
+    cfg.accumulator_bits = 8;  // rail 127
+    FpgaPipeline fpga(seq, layout, cfg);
+    // 100 periods of 2s: each word reaches 126 after 63 adds, and each of
+    // its 37 later adds hits the rail.
+    const std::vector<std::uint32_t> twos(layout.cells(), 2);
+    for (int period = 0; period < 100; ++period) fpga.push_samples(twos);
+    FpgaCapture capture = fpga.capture_frame();
+    EXPECT_EQ(capture.saturations, 37u * layout.cells());
+    for (const std::int64_t word : capture.bins) ASSERT_EQ(word, 127);
+    fpga.finalize_frame(capture);
+    EXPECT_EQ(fpga.report().accumulator_saturations, 37u * layout.cells());
+
+    // The next frame starts from zero words and a zero count, also when it
+    // takes the spent capture's storage back.
+    fpga.push_samples(twos);
+    const FpgaCapture next = fpga.capture_frame(std::move(capture));
+    EXPECT_EQ(next.saturations, 0u);
+    for (const std::int64_t word : next.bins) ASSERT_EQ(word, 2);
+    fpga.push_samples(twos);
+    const FpgaCapture reused = fpga.capture_frame();  // the first capture's words
+    for (const std::int64_t word : reused.bins) ASSERT_EQ(word, 2);
+}
+
 TEST(Fpga, CycleAccountingScalesWithWork) {
     const prs::OversampledPrs seq(7, 2, prs::GateMode::kPulsed);
     FrameLayout layout{.drift_bins = seq.length(), .mz_bins = 32,

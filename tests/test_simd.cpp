@@ -2,17 +2,22 @@
 // dispatch shim, fwht_batch vs per-lane scalar FWHT, Deconvolver /
 // EnhancedDeconvolver decode_batch parity against the scalar oracle
 // (including ragged lane counts), the Frame tile transpose, the grained
-// ThreadPool::parallel_for, the CpuBackend batched frame path, and the
-// dispatched CRC-32 kernel against the bytewise oracle.
+// ThreadPool::parallel_for, the CpuBackend batched frame path, the
+// dispatched CRC-32 kernel against the bytewise oracle, and the FPGA model's
+// integer kernels: the int64 fwht_batch, the saturating accumulate and the
+// output quantizer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <mutex>
 #include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/fixed_point.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "common/thread_pool.hpp"
@@ -87,6 +92,43 @@ INSTANTIATE_TEST_SUITE_P(
     SizesAndLanes, FwhtBatchParity,
     ::testing::Combine(::testing::Values<std::size_t>(8, 256, 2048),
                        ::testing::Values<std::size_t>(1, 2, 3, 4, 5, 8, 16)));
+
+// The int64 twin, through the same dispatch table, against the double
+// transform per lane. Inputs below 2^40 keep every partial sum of a
+// 2048-point transform below 2^53, where the doubles are exact. 1-9 lanes
+// reach every kernel of the host's table and both fixed-width fallbacks;
+// 2048 nodes take the cache-blocked schedule at every lane count.
+class FwhtBatchI64Parity
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+
+TEST_P(FwhtBatchI64Parity, MatchesDoubleTransformPerLane) {
+    const auto [n, lanes] = GetParam();
+    Rng rng(19 + static_cast<std::uint32_t>(n + lanes));
+    std::vector<AlignedVector<double>> ref(lanes, AlignedVector<double>(n));
+    AlignedVector<std::int64_t> batch(n * lanes);
+    const std::int64_t span = std::int64_t{1} << 40;
+    for (std::size_t l = 0; l < lanes; ++l) {
+        for (std::size_t j = 0; j < n; ++j) {
+            const auto v = static_cast<std::int64_t>(
+                               rng.below(2 * static_cast<std::uint64_t>(span))) -
+                           span;
+            batch[j * lanes + l] = v;
+            ref[l][j] = static_cast<double>(v);
+        }
+    }
+    for (auto& r : ref) transform::fwht(r);
+    transform::fwht_batch(batch, lanes);
+    for (std::size_t l = 0; l < lanes; ++l)
+        for (std::size_t j = 0; j < n; ++j)
+            ASSERT_EQ(static_cast<double>(batch[j * lanes + l]), ref[l][j])
+                << "tier " << simd_tier_name(simd_tier()) << ", lane " << l
+                << ", node " << j;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SizesAndLanes, FwhtBatchI64Parity,
+    ::testing::Combine(::testing::Values<std::size_t>(8, 256, 2048),
+                       ::testing::Range<std::size_t>(1, 10)));
 
 TEST(FwhtBatch, RejectsNonPowerOfTwoNodeCount) {
     AlignedVector<double> bad(6 * 4, 1.0);
@@ -416,6 +458,98 @@ TEST(Crc32, DispatchedMatchesBytewiseOnAFramePayload) {
     EXPECT_EQ(crc32(bytes.data(), bytes.size()),
               crc32_bytewise(bytes.data(), bytes.size()))
         << "tier " << simd_tier_name(simd_tier());
+}
+
+// ------------------------------------------------ saturating accumulate ----
+// The clamp-add of the FPGA model's capture against the scalar loop it
+// replaces, at word widths from 2 to 63 bits. Words start within 2^34 of
+// the rail and samples reach twice the rail (or the u32 maximum), so every
+// width sees adds that fit and adds that saturate. Starts 0-7 words from a
+// 64-byte boundary and lengths 0-67 put every tail length of the vector
+// kernels at every alignment.
+
+class SaturatingAccumulateParity : public ::testing::TestWithParam<int> {};
+
+TEST_P(SaturatingAccumulateParity, MatchesScalarLoop) {
+    const int bits = GetParam();
+    const std::int64_t rail = (std::int64_t{1} << (bits - 1)) - 1;
+    const auto urail = static_cast<std::uint64_t>(rail);
+    Rng rng(61 + static_cast<std::uint32_t>(bits));
+    constexpr std::size_t kWords = 80;
+    AlignedVector<std::int64_t> start(kWords);
+    std::vector<std::uint32_t> samples(kWords);
+    for (auto& w : start)
+        w = rail - static_cast<std::int64_t>(rng.below(std::min<std::uint64_t>(urail + 1, 1ULL << 34)));
+    for (auto& s : samples)
+        s = static_cast<std::uint32_t>(rng.below(std::min<std::uint64_t>(2 * urail + 2, 1ULL << 32)));
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t len = 0; len <= 67; ++len) {
+            AlignedVector<std::int64_t> got = start;
+            AlignedVector<std::int64_t> want = start;
+            std::uint64_t want_count = 0;
+            for (std::size_t i = offset; i < offset + len; ++i) {
+                const std::int64_t v = want[i] + std::int64_t{samples[i]};
+                if (v > rail) ++want_count;
+                want[i] = std::min(v, rail);
+            }
+            const std::uint64_t count = saturating_accumulate(
+                got.data() + offset, samples.data() + offset, len, rail);
+            ASSERT_EQ(count, want_count)
+                << "tier " << simd_tier_name(simd_tier()) << ", bits " << bits
+                << ", offset " << offset << ", length " << len;
+            ASSERT_EQ(got, want) << "tier " << simd_tier_name(simd_tier())
+                                 << ", bits " << bits << ", offset " << offset
+                                 << ", length " << len;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(WordWidths, SaturatingAccumulateParity,
+                         ::testing::Values(2, 8, 12, 32, 63));
+
+// -------------------------------------------------------- quantizer ----
+// The FPGA model's integer output register against the Fixed path it
+// replaces, Fixed(w / 2^(order-1), fmt).to_double(), at order 8 (shift 7)
+// for E8's formats and one at the shift: fractional bits below (2, 4), at
+// (7) and above (8, 12) the word's. Each format sees random words, the
+// round-half boundaries and words on both sides of both rails.
+
+TEST(ShiftQuantizer, MatchesFixedPathAtE8Formats) {
+    const int shift = 7;
+    const double unit = static_cast<double>(std::int64_t{1} << shift);
+    for (const QFormat fmt :
+         {QFormat{16, 2}, QFormat{16, 4}, QFormat{24, 4}, QFormat{24, 7},
+          QFormat{24, 8}, QFormat{32, 8}, QFormat{32, 12}, QFormat{48, 8},
+          QFormat{24, 6}}) {
+        const ShiftQuantizer quantizer(shift, fmt);
+        std::vector<std::int64_t> words = {0, 1, -1, 63, 64, 65, -63, -64, -65,
+                                           127, 128, -127, -128, 191, 192, -192};
+        // Words on both sides of each rail, in word units.
+        for (const std::int64_t raw : {fmt.max_raw(), fmt.min_raw()}) {
+            const double edge = static_cast<double>(raw) * unit / fmt.scale();
+            const auto w0 = static_cast<std::int64_t>(edge);
+            for (std::int64_t d = -130; d <= 130; ++d) words.push_back(w0 + d);
+        }
+        Rng rng(71 + static_cast<std::uint32_t>(fmt.total_bits * 64 + fmt.frac_bits));
+        for (const int magnitude_bits : {12, 24, 50}) {
+            const std::int64_t span = std::int64_t{1} << magnitude_bits;
+            for (int i = 0; i < 2000; ++i)
+                words.push_back(static_cast<std::int64_t>(rng.below(
+                                    2 * static_cast<std::uint64_t>(span))) -
+                                span);
+        }
+        bool hit_top = false, hit_bottom = false;
+        for (const std::int64_t w : words) {
+            const double want =
+                Fixed(static_cast<double>(w) / unit, fmt).to_double();
+            ASSERT_EQ(quantizer.value(w), want)
+                << "Q" << fmt.total_bits << "." << fmt.frac_bits << ", w " << w;
+            hit_top = hit_top || quantizer.raw(w) == fmt.max_raw();
+            hit_bottom = hit_bottom || quantizer.raw(w) == fmt.min_raw();
+        }
+        EXPECT_TRUE(hit_top && hit_bottom)
+            << "Q" << fmt.total_bits << "." << fmt.frac_bits << " missed a rail";
+    }
 }
 
 }  // namespace

@@ -63,15 +63,16 @@ TEST(Fwht, ZeroFrequencyIsSum) {
 }
 
 TEST(Fwht, IntegerVersionMatchesDouble) {
+    // The int64 fwht_batch at one lane is a plain integer FWHT.
     Rng rng(2);
     AlignedVector<double> xd(128);
-    std::vector<long long> xi(128);
+    AlignedVector<std::int64_t> xi(128);
     for (std::size_t i = 0; i < 128; ++i) {
-        xi[i] = static_cast<long long>(rng.below(1000)) - 500;
+        xi[i] = static_cast<std::int64_t>(rng.below(1000)) - 500;
         xd[i] = static_cast<double>(xi[i]);
     }
     fwht(xd);
-    fwht_i64(xi);
+    fwht_batch(xi, 1);
     for (std::size_t i = 0; i < 128; ++i)
         EXPECT_DOUBLE_EQ(xd[i], static_cast<double>(xi[i]));
 }
