@@ -10,6 +10,7 @@
 // machine-readable across commits.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <iostream>
@@ -26,6 +27,7 @@
 
 #include "common/rng.hpp"
 #include "common/simd.hpp"
+#include "pipeline/cpu_backend.hpp"
 #include "pipeline/fpga.hpp"
 #include "pipeline/spsc_ring.hpp"
 #include "prs/oversampled.hpp"
@@ -89,19 +91,21 @@ static void BM_SimplexDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_SimplexDecode)->Arg(8)->Arg(10)->Arg(11)->Arg(12)->Arg(14);
 
-// Items processed counts decoded samples across all lanes, so items/s is
-// directly comparable with BM_SimplexDecode's per-channel figure.
+// The simplex decode `lanes` records wide: the enhanced decoder at F = 1 is
+// the plain simplex inverse. Items processed counts decoded samples across
+// all lanes, so items/s is directly comparable with BM_SimplexDecode's
+// per-channel figure.
 static void BM_SimplexDecodeBatch(benchmark::State& state) {
     const int order = static_cast<int>(state.range(0));
     const auto lanes = static_cast<std::size_t>(state.range(1));
-    const prs::MSequence seq(order);
-    const transform::Deconvolver d(seq);
+    const prs::OversampledPrs seq(order, 1, prs::GateMode::kPulsed);
+    const transform::EnhancedDeconvolver d(seq);
     auto ws = d.make_batch_workspace(lanes);
     AlignedVector<double> y(seq.length() * lanes), x(seq.length() * lanes);
     Rng rng(2);
     for (auto& v : y) v = rng.uniform(0.0, 255.0);
     for (auto _ : state) {
-        d.decode_batch(y, x, ws);
+        d.decode_batch(y, x, lanes, lanes, ws);
         benchmark::DoNotOptimize(x.data());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -142,7 +146,7 @@ static void BM_EnhancedDecodeBatch(benchmark::State& state) {
     Rng rng(3);
     for (auto& v : y) v = rng.uniform(0.0, 255.0);
     for (auto _ : state) {
-        d.decode_batch(y, x, ws);
+        d.decode_batch(y, x, lanes, lanes, ws);
         benchmark::DoNotOptimize(x.data());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -169,6 +173,40 @@ static void BM_FpgaFrameDecode(benchmark::State& state) {
                             static_cast<std::int64_t>(layout.cells()));
 }
 BENCHMARK(BM_FpgaFrameDecode);
+
+// The CPU backend's frame decode at perfbench's paced shape (order-8,
+// oversampling-2 PRS x 256 m/z) on one thread, as each fleet decode worker
+// runs it: the tile decode in place, as the streaming engine calls it, and
+// the per-channel scalar oracle (deconvolve_scalar). Items are frame cells.
+static void BM_CpuFrameDecode(benchmark::State& state, prs::GateMode mode, bool scalar) {
+    const prs::OversampledPrs seq(8, 2, mode);
+    const pipeline::FrameLayout layout{.drift_bins = seq.length(),
+                                       .mz_bins = 256,
+                                       .drift_bin_width_s = 1e-4};
+    pipeline::CpuBackend cpu(seq, layout, 1);
+    pipeline::Frame raw(layout);
+    Rng rng(6);
+    for (auto& v : raw.data()) v = static_cast<double>(rng.below(1024));
+    pipeline::Frame frame = raw;
+    for (auto _ : state) {
+        if (scalar) {
+            auto out = cpu.deconvolve_scalar(raw);
+            benchmark::DoNotOptimize(out.data().data());
+        } else {
+            state.PauseTiming();
+            std::ranges::copy(raw.data(), frame.data().begin());
+            state.ResumeTiming();
+            cpu.deconvolve(frame, frame);
+            benchmark::DoNotOptimize(frame.data().data());
+        }
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(layout.cells()));
+}
+BENCHMARK_CAPTURE(BM_CpuFrameDecode, pulsed_tiles, prs::GateMode::kPulsed, false);
+BENCHMARK_CAPTURE(BM_CpuFrameDecode, pulsed_scalar, prs::GateMode::kPulsed, true);
+BENCHMARK_CAPTURE(BM_CpuFrameDecode, stretched_tiles, prs::GateMode::kStretched, false);
+BENCHMARK_CAPTURE(BM_CpuFrameDecode, stretched_scalar, prs::GateMode::kStretched, true);
 
 // FPGA capture at perfbench's replay shape (order-8, oversampling-2 PRS x
 // 256 m/z, 4 averages): one frame's samples streamed one TOF record per
@@ -417,6 +455,24 @@ int main(int argc, char** argv) {
     const double enh4b = find_scalar(meta, "BM_EnhancedDecodeBatch/4/8.items_per_second");
     if (enh4 > 0.0 && enh4b > 0.0)
         meta.scalars.emplace_back("speedup.enhanced_decode_factor4", enh4b / enh4);
+    // The CPU tile decode against its own per-channel oracle, in the gate
+    // mode where it gains least: below 1.0 the tile path has lost its reason
+    // to exist and the bench-smoke gate fails the run.
+    const auto cpu_frame_speedup = [&](const std::string& mode) {
+        const std::string name = "BM_CpuFrameDecode/" + mode;
+        const double tiles = find_scalar(meta, name + "_tiles.items_per_second");
+        const double scalar = find_scalar(meta, name + "_scalar.items_per_second");
+        return tiles > 0.0 && scalar > 0.0 ? tiles / scalar : 0.0;
+    };
+    const double cpu_pulsed = cpu_frame_speedup("pulsed");
+    const double cpu_stretched = cpu_frame_speedup("stretched");
+    if (cpu_pulsed > 0.0 && cpu_stretched > 0.0) {
+        const double speedup = std::min(cpu_pulsed, cpu_stretched);
+        meta.scalars.emplace_back("speedup.cpu_frame_decode", speedup);
+        if (speedup < 1.0)
+            std::cout << "REGRESSION: speedup.cpu_frame_decode " << speedup
+                      << " < 1.0 (CPU tile decode vs per-channel scalar oracle)\n";
+    }
     const double ring_single = find_scalar(meta, "BM_SpscRing.items_per_second");
     const double ring_batch =
         find_scalar(meta, "BM_SpscRingBatch/64.items_per_second");

@@ -67,8 +67,12 @@
 #             the self-test's included) or on a "REGRESSION" marker in the
 #             output — bench_kernels
 #             prints one when a headline speedup (batch ring transport vs
-#             per-record) drops below 1.0 or the dispatched CRC-32 kernel
-#             falls below 4x its bytewise oracle, bench_e16_fleet when the
+#             per-record) drops below 1.0, when the CPU backend's tile
+#             decode of a paced-shape frame (one thread, pulsed or
+#             stretched) is slower than its own per-channel scalar oracle
+#             (speedup.cpu_frame_decode < 1.0), or when the dispatched
+#             CRC-32 kernel falls below 4x its bytewise oracle,
+#             bench_e16_fleet when the
 #             4-stream paced aggregate falls below 2x the single-stream
 #             rate, and bench_e19_hdsearch when the SIMD Hamming kernel
 #             loses its 4x margin over the scalar oracle or NN recall at

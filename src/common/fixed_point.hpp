@@ -4,18 +4,18 @@
 // deconvolution in fixed point. To answer the same questions the authors
 // asked on the Cray XD1 — does the algorithm fit the word widths a Virtex-II
 // Pro offers, and what precision penalty does fixed point incur? — we model
-// Q(total_bits, frac_bits) two's-complement arithmetic with explicit,
+// Q(total_bits, frac_bits) two's-complement quantization with explicit,
 // *saturating* overflow behaviour, exactly as a DSP48/BRAM datapath would be
 // configured. The representation is runtime-parameterised (rather than a
 // template on the widths) because the precision sweep in experiment E8 needs
 // to iterate over formats. ShiftQuantizer is the integer form of the
-// FPGA model's output register (pipeline/fpga.cpp).
+// FPGA model's output register (pipeline/fpga.cpp); Fixed is the
+// double-valued quantizer it is tested against.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 
 #include "common/error.hpp"
 
@@ -46,57 +46,14 @@ inline void validate(const QFormat& q) {
         throw ConfigError("QFormat frac_bits must be in [0, total_bits)");
 }
 
-/// A fixed-point value carried in 64 bits of raw integer, interpreted under
-/// a QFormat. All operations saturate (never wrap), matching the saturating
-/// accumulator configuration used for spectrum accumulation on the FPGA.
+/// A value quantized into a QFormat: rounded to the nearest LSB (half away
+/// from zero) and saturated at the rails, never wrapped — the reference the
+/// FPGA model's integer output register (ShiftQuantizer) is checked against.
 class Fixed {
 public:
-    Fixed() = default;
     Fixed(double v, QFormat q) : fmt_(q), raw_(quantize(v, q)) {}
 
-    static Fixed from_raw(std::int64_t raw, QFormat q) {
-        Fixed f;
-        f.fmt_ = q;
-        f.raw_ = clamp_raw(raw, q);
-        return f;
-    }
-
-    QFormat format() const { return fmt_; }
-    std::int64_t raw() const { return raw_; }
     double to_double() const { return static_cast<double>(raw_) / fmt_.scale(); }
-
-    /// True if the value sits at either saturation rail.
-    bool saturated() const { return raw_ == fmt_.max_raw() || raw_ == fmt_.min_raw(); }
-
-    Fixed operator+(const Fixed& other) const {
-        HTIMS_EXPECTS(fmt_ == other.fmt_);
-        // 64-bit raw + 63-bit-max magnitudes cannot overflow int64 for
-        // total_bits <= 62; for 63 we detect via __int128.
-        const __int128 sum = static_cast<__int128>(raw_) + other.raw_;
-        return from_raw(clamp128(sum, fmt_), fmt_);
-    }
-
-    Fixed operator-(const Fixed& other) const {
-        HTIMS_EXPECTS(fmt_ == other.fmt_);
-        const __int128 diff = static_cast<__int128>(raw_) - other.raw_;
-        return from_raw(clamp128(diff, fmt_), fmt_);
-    }
-
-    /// Full-precision multiply then round-to-nearest rescale, as a DSP block
-    /// with a wide product register followed by a shift would do.
-    Fixed operator*(const Fixed& other) const {
-        HTIMS_EXPECTS(fmt_ == other.fmt_);
-        __int128 prod = static_cast<__int128>(raw_) * other.raw_;
-        const int shift = fmt_.frac_bits;
-        // round to nearest (add half LSB before shifting)
-        const __int128 half = shift > 0 ? (static_cast<__int128>(1) << (shift - 1)) : 0;
-        prod = (prod + (prod >= 0 ? half : -half)) >> shift;
-        return from_raw(clamp128(prod, fmt_), fmt_);
-    }
-
-    bool operator==(const Fixed& other) const {
-        return fmt_ == other.fmt_ && raw_ == other.raw_;
-    }
 
 private:
     static std::int64_t quantize(double v, QFormat q) {
@@ -107,20 +64,8 @@ private:
         return static_cast<std::int64_t>(std::llround(scaled));
     }
 
-    static std::int64_t clamp_raw(std::int64_t raw, QFormat q) {
-        if (raw > q.max_raw()) return q.max_raw();
-        if (raw < q.min_raw()) return q.min_raw();
-        return raw;
-    }
-
-    static std::int64_t clamp128(__int128 v, QFormat q) {
-        if (v > q.max_raw()) return q.max_raw();
-        if (v < q.min_raw()) return q.min_raw();
-        return static_cast<std::int64_t>(v);
-    }
-
-    QFormat fmt_{};
-    std::int64_t raw_ = 0;
+    QFormat fmt_;
+    std::int64_t raw_;
 };
 
 /// The output register of an integer datapath whose words carry `shift`

@@ -9,10 +9,14 @@
 
 namespace htims {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-    if (threads == 0) threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    workers_.reserve(threads);
-    for (std::size_t i = 0; i < threads; ++i)
+ThreadPool::ThreadPool(std::size_t threads)
+    : size_(threads > 0 ? threads
+                        : std::max<std::size_t>(1, std::thread::hardware_concurrency())) {
+    // One thread is the caller's: parallel_for runs inline and submit() runs
+    // the task at once, so a worker would only park.
+    if (size_ == 1) return;
+    workers_.reserve(size_);
+    for (std::size_t i = 0; i < size_; ++i)
         workers_.emplace_back([this] { worker_loop(); });
 }
 
@@ -30,6 +34,11 @@ void ThreadPool::submit(std::function<void()> task) {
     auto& tel = telemetry::Registry::global();
     static auto& c_tasks = tel.counter("threadpool.tasks");
     static auto& g_depth = tel.gauge("threadpool.queue_depth");
+    c_tasks.increment();
+    if (workers_.empty()) {
+        run_task(task);
+        return;
+    }
     std::size_t depth;
     {
         std::lock_guard lock(mutex_);
@@ -37,7 +46,6 @@ void ThreadPool::submit(std::function<void()> task) {
         ++in_flight_;
         depth = tasks_.size();
     }
-    c_tasks.increment();
     g_depth.set(static_cast<std::int64_t>(depth));
     cv_task_.notify_one();
 }
@@ -85,9 +93,19 @@ void ThreadPool::parallel_for_impl(std::size_t n, std::size_t grain, RangeBody b
     wait_idle();
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::run_task(const std::function<void()>& task) {
     auto& tel = telemetry::Registry::global();
     static auto& h_task = tel.histogram("threadpool.task_ns");
+    if (telemetry::kCompiledIn && tel.enabled()) {
+        const std::uint64_t t0 = telemetry::now_ns();
+        task();
+        h_task.observe(telemetry::now_ns() - t0);
+    } else {
+        task();
+    }
+}
+
+void ThreadPool::worker_loop() {
     for (;;) {
         std::function<void()> task;
         {
@@ -97,13 +115,7 @@ void ThreadPool::worker_loop() {
             task = std::move(tasks_.front());
             tasks_.pop();
         }
-        if (telemetry::kCompiledIn && tel.enabled()) {
-            const std::uint64_t t0 = telemetry::now_ns();
-            task();
-            h_task.observe(telemetry::now_ns() - t0);
-        } else {
-            task();
-        }
+        run_task(task);
         {
             std::lock_guard lock(mutex_);
             HTIMS_CHECK(in_flight_ > 0, "task completion without a matching submit");

@@ -32,16 +32,17 @@ namespace htims {
 /// the call joins before returning.
 class ThreadPool {
 public:
-    /// Create `threads` workers (defaults to hardware concurrency, min 1).
+    /// A pool of `threads` threads (defaults to hardware concurrency, min 1).
+    /// A one-thread pool is the calling thread alone and starts no worker.
     explicit ThreadPool(std::size_t threads = 0);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool&) = delete;
     ThreadPool& operator=(const ThreadPool&) = delete;
 
-    std::size_t size() const { return workers_.size(); }
+    std::size_t size() const { return size_; }
 
-    /// Enqueue one task.
+    /// Enqueue one task; a one-thread pool runs it before returning.
     void submit(std::function<void()> task);
 
     /// Block until every submitted task has finished.
@@ -89,8 +90,10 @@ public:
 
 private:
     void parallel_for_impl(std::size_t n, std::size_t grain, RangeBody body);
+    void run_task(const std::function<void()>& task);
     void worker_loop();
 
+    std::size_t size_;
     std::vector<std::thread> workers_;
     std::queue<std::function<void()>> tasks_;
     std::mutex mutex_;

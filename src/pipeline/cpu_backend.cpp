@@ -1,5 +1,6 @@
 #include "pipeline/cpu_backend.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -30,7 +31,7 @@ void CpuBackend::set_faults(fault::FaultInjector* faults, int max_retries,
 
 void CpuBackend::deconvolve(const Frame& raw, Frame& out) {
     if (faults_ == nullptr) {
-        run(raw, out, htims::batch_lanes());
+        run(raw, out, /*scalar=*/false);
         return;
     }
     // A fired kCpuFault models a transient task failure (lost worker, ECC
@@ -52,7 +53,7 @@ void CpuBackend::deconvolve(const Frame& raw, Frame& out) {
         if (backoff > 0.0)
             std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
     }
-    run(raw, out, htims::batch_lanes());
+    run(raw, out, /*scalar=*/false);
 }
 
 Frame CpuBackend::deconvolve(const Frame& raw) {
@@ -63,19 +64,17 @@ Frame CpuBackend::deconvolve(const Frame& raw) {
 
 Frame CpuBackend::deconvolve_scalar(const Frame& raw) {
     Frame out(layout_);
-    run(raw, out, 1);
+    run(raw, out, /*scalar=*/true);
     return out;
 }
 
-void CpuBackend::run(const Frame& raw, Frame& out, std::size_t lanes) {
+void CpuBackend::run(const Frame& raw, Frame& out, bool scalar) {
     HTIMS_EXPECTS(raw.layout() == layout_ && out.layout() == layout_);
     auto& tel = telemetry::Registry::global();
     static const auto kStageDecode = tel.intern("cpu.deconvolve");
     static auto& c_frames = tel.counter("cpu.frames");
     static auto& c_channels = tel.counter("cpu.channels");
     static auto& c_tiles = tel.counter("cpu.tiles");
-    static auto& c_batched = tel.counter("cpu.batched_channels");
-    static auto& c_tail = tel.counter("cpu.scalar_channels");
     static auto& g_tier = tel.gauge("cpu.simd_tier");
     static auto& g_lanes = tel.gauge("cpu.batch_lanes");
     static auto& h_decode = tel.histogram("cpu.decode_ns");
@@ -83,44 +82,38 @@ void CpuBackend::run(const Frame& raw, Frame& out, std::size_t lanes) {
     auto span = tel.span(kStageDecode);
 
     WallTimer timer;
-    HTIMS_CHECK(lanes >= 1, "batch lane count must be at least 1");
-    const std::size_t tiles = lanes > 1 ? layout_.mz_bins / lanes : 0;
-    const std::size_t tail_begin = tiles * lanes;
-    HTIMS_DCHECK(tail_begin <= layout_.mz_bins, "tiles cover at most the frame");
+    const std::size_t mz_bins = layout_.mz_bins;
+    const std::size_t lanes = scalar ? 1 : htims::batch_lanes();
+    const std::size_t tiles = scalar ? 0 : (mz_bins + lanes - 1) / lanes;
     const bool trace_tiles = telemetry::kCompiledIn && tel.enabled();
-    if (tiles > 0) {
-        // Tile-granular: one grain = one L-lane decode, already far coarser
-        // than a dispatch, so grain 1 keeps small frames parallel too.
-        pool_.parallel_for(
-            tiles,
-            [&](std::size_t lo, std::size_t hi) {
-                auto ws = decon_.make_batch_workspace(lanes);
-                AlignedVector<double> in(layout_.drift_bins * lanes);
-                AlignedVector<double> result(layout_.drift_bins * lanes);
-                for (std::size_t tile = lo; tile < hi; ++tile) {
-                    const std::uint64_t t0 = trace_tiles ? telemetry::now_ns() : 0;
-                    raw.gather_tile(tile * lanes, lanes, in);
-                    decon_.decode_batch(in, result, ws);
-                    out.scatter_tile(tile * lanes, lanes, result);
-                    if (trace_tiles) h_tile.observe(telemetry::now_ns() - t0);
-                }
-            },
-            /*grain=*/1);
-    }
-    if (tail_begin < layout_.mz_bins) {
-        // Ragged tail (mz_bins % lanes), or the whole frame on the scalar
-        // path — the original per-channel decomposition.
-        pool_.parallel_for(layout_.mz_bins - tail_begin, [&](std::size_t lo,
-                                                             std::size_t hi) {
+    if (scalar) {
+        pool_.parallel_for(mz_bins, [&](std::size_t lo, std::size_t hi) {
             auto ws = decon_.make_workspace();
             AlignedVector<double> in(layout_.drift_bins);
             AlignedVector<double> result(layout_.drift_bins);
-            for (std::size_t m = tail_begin + lo; m < tail_begin + hi; ++m) {
+            for (std::size_t m = lo; m < hi; ++m) {
                 raw.drift_profile(m, in);
                 decon_.decode(in, result, ws);
                 out.set_drift_profile(m, result);
             }
         });
+    } else {
+        // Tile-granular: one grain = one L-lane decode, already far coarser
+        // than a dispatch, so grain 1 keeps small frames parallel too. Each
+        // tile decodes in the frame's rows; the last may be narrower.
+        pool_.parallel_for(
+            tiles,
+            [&](std::size_t lo, std::size_t hi) {
+                auto ws = decon_.make_batch_workspace(lanes);
+                for (std::size_t tile = lo; tile < hi; ++tile) {
+                    const std::uint64_t t0 = trace_tiles ? telemetry::now_ns() : 0;
+                    const std::size_t mz0 = tile * lanes;
+                    decon_.decode_batch(raw.data().subspan(mz0), out.data().subspan(mz0),
+                                        mz_bins, std::min(lanes, mz_bins - mz0), ws);
+                    if (trace_tiles) h_tile.observe(telemetry::now_ns() - t0);
+                }
+            },
+            /*grain=*/1);
     }
     const double elapsed = timer.seconds();
     {
@@ -130,10 +123,8 @@ void CpuBackend::run(const Frame& raw, Frame& out, std::size_t lanes) {
         ++total_frames_;
     }
     c_frames.increment();
-    c_channels.add(static_cast<std::int64_t>(layout_.mz_bins));
+    c_channels.add(static_cast<std::int64_t>(mz_bins));
     c_tiles.add(static_cast<std::int64_t>(tiles));
-    c_batched.add(static_cast<std::int64_t>(tail_begin));
-    c_tail.add(static_cast<std::int64_t>(layout_.mz_bins - tail_begin));
     g_tier.set(static_cast<std::int64_t>(simd_tier()));
     g_lanes.set(static_cast<std::int64_t>(lanes));
     h_decode.observe(static_cast<std::uint64_t>(elapsed * 1e9));

@@ -9,17 +9,18 @@
 // and E4 measures its strong scaling.
 //
 // Two decode paths share the same math:
-//  * batched (default) — m/z channels are processed L lanes per tile: a
-//    cache-friendly tile transpose (Frame::gather_tile) feeds
-//    EnhancedDeconvolver::decode_batch, whose butterflies run one SIMD
-//    register wide (common/simd.hpp picks L and the kernel tier at
-//    runtime). Channels beyond the last full tile take the scalar path.
-//  * scalar — the original one-channel-at-a-time decode, kept as the
-//    reference oracle and for A/B benchmarking (deconvolve_scalar).
+//  * tiles (deconvolve) — L adjacent m/z channels per tile, the last tile
+//    narrower when L does not divide the m/z width. The channels sit side
+//    by side in each drift row, so EnhancedDeconvolver::decode_batch reads
+//    and writes them in the frame's own rows, with no transpose, and its
+//    butterflies run one SIMD register wide (common/simd.hpp picks L and
+//    the kernel tier at runtime).
+//  * scalar (deconvolve_scalar) — the original one-channel-at-a-time
+//    decode, kept as the reference oracle and for A/B benchmarking.
 //
-// The batched path can write its result over its input: the streaming
-// engine accumulates each CPU frame in one buffer and decodes it there,
-// with no second frame-sized allocation per decode.
+// The tile path can write its result over its input: the streaming engine
+// accumulates each CPU frame in one buffer and decodes it there, with no
+// second frame-sized allocation per decode.
 #pragma once
 
 #include <atomic>
@@ -63,9 +64,9 @@ public:
 
     /// Deconvolve every m/z channel of `raw` into `out`, a frame of this
     /// layout whose every cell is overwritten; `out` may be `raw` itself.
-    /// Uses the batched tile path, htims::batch_lanes() channels per tile.
-    /// In place is exact because each tile (and each tail channel) copies
-    /// its own columns out before writing them back, and no two share one.
+    /// Uses the tile path, htims::batch_lanes() channels per tile. In place
+    /// is exact because each tile reads its columns out before writing them
+    /// back, and no two tiles share one.
     ///
     /// Thread safety: one deconvolve at a time, but the calling thread may
     /// change between calls (the streaming engine decodes on the consumer
@@ -76,7 +77,9 @@ public:
     /// deconvolve(raw, out) into a new frame.
     Frame deconvolve(const Frame& raw);
 
-    /// Reference path: one channel at a time, on the same thread pool.
+    /// Reference path: one channel at a time through
+    /// EnhancedDeconvolver::decode, on the same thread pool. Bit-identical
+    /// to deconvolve().
     Frame deconvolve_scalar(const Frame& raw);
 
     /// Wall time of the last deconvolve() call (seconds).
@@ -103,7 +106,7 @@ public:
     double sustained_sample_rate(std::size_t averages) const;
 
 private:
-    void run(const Frame& raw, Frame& out, std::size_t lanes);
+    void run(const Frame& raw, Frame& out, bool scalar);
 
     transform::EnhancedDeconvolver decon_;
     FrameLayout layout_;

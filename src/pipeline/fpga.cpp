@@ -9,7 +9,6 @@
 #include "common/simd.hpp"
 #include "fault/fault.hpp"
 #include "telemetry/telemetry.hpp"
-#include "transform/fwht.hpp"
 
 namespace htims::pipeline {
 
@@ -126,20 +125,13 @@ FpgaCapture FpgaPipeline::capture_frame(FpgaCapture reuse) {
 
 void FpgaPipeline::transform_phase(const FpgaCapture& capture, std::size_t r,
                                    std::size_t mz0, std::size_t lanes) {
-    const std::size_t n = base_.length();
     const auto f = static_cast<std::size_t>(sequence_.factor());
     const std::size_t m = layout_.mz_bins;
-    // Hoisted bound for every bin row the gather below reads.
-    HTIMS_DCHECK(r < f && lanes <= kTileLanes && mz0 + lanes <= m &&
-                     (f * (n - 1) + r) * m + mz0 + lanes <= capture.bins.size(),
-                 "tile gather reads inside the bin array");
-    const auto scatter = base_.scatter_index();
-    std::int64_t* tile = tile_.data();
-    const std::int64_t* row = capture.bins.data() + r * m + mz0;
-    std::fill_n(tile, lanes, std::int64_t{0});  // node 0 is the zero pad
-    for (std::size_t q = 0; q < n; ++q, row += f * m)
-        std::copy_n(row, lanes, tile + std::size_t{scatter[q]} * lanes);
-    transform::fwht_batch(std::span(tile, (n + 1) * lanes), lanes);
+    HTIMS_DCHECK(r < f && lanes <= kTileLanes && mz0 + lanes <= m,
+                 "tile of one phase inside the frame");
+    base_.transform_tile(std::span<const std::int64_t>(capture.bins).subspan(r * m + mz0),
+                         f * m, lanes,
+                         std::span(tile_.data(), (base_.length() + 1) * lanes));
 }
 
 void FpgaPipeline::decode_tile_pulsed(const FpgaCapture& capture, std::size_t mz0,

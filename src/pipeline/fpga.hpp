@@ -16,9 +16,10 @@
 //    whole decoder maps to adder fabric with no multipliers. The model
 //    decodes a tile of adjacent m/z channels at a time, as parallel decode
 //    engines would: those channels sit side by side in each bin row, so a
-//    tile loads without a transpose and transforms through the int64
-//    fwht_batch. Results are quantized into a configurable Q-format at the
-//    output boundary, in integers (ShiftQuantizer);
+//    tile loads without a transpose, through the same loader as the CPU
+//    decode (Deconvolver::transform_tile, here over int64 words). Results
+//    are quantized into a configurable Q-format at the output boundary, in
+//    integers (ShiftQuantizer);
 //  * cycle accounting: every stage charges cycles under a configurable
 //    clock and number of parallel butterfly units / deconvolution engines,
 //    yielding the sustained-throughput numbers experiment E3 compares with
@@ -167,7 +168,8 @@ public:
 
 private:
     /// Load phase r of the `lanes` m/z channels from mz0 into tile_ and
-    /// transform them: afterwards w_p = -tile_[gather[p] * lanes + l] is
+    /// transform them (Deconvolver::transform_tile over the capture's bin
+    /// rows): afterwards w_p = -tile_[gather[p] * lanes + l] is
     /// 2^(order-1) times chip p's decoded value, exact in int64.
     void transform_phase(const FpgaCapture& capture, std::size_t r, std::size_t mz0,
                          std::size_t lanes);

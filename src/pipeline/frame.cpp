@@ -57,30 +57,6 @@ void Frame::set_drift_profile(std::size_t mz, std::span<const double> profile) {
         data_[d * layout_.mz_bins + mz] = profile[d];
 }
 
-void Frame::gather_tile(std::size_t mz0, std::size_t lanes, std::span<double> out) const {
-    HTIMS_EXPECTS(lanes > 0 && mz0 + lanes <= layout_.mz_bins);
-    HTIMS_EXPECTS(out.size() == layout_.drift_bins * lanes);
-    const double* src = data_.data() + mz0;
-    double* dst = out.data();
-    for (std::size_t d = 0; d < layout_.drift_bins; ++d) {
-        std::copy_n(src, lanes, dst);
-        src += layout_.mz_bins;
-        dst += lanes;
-    }
-}
-
-void Frame::scatter_tile(std::size_t mz0, std::size_t lanes, std::span<const double> tile) {
-    HTIMS_EXPECTS(lanes > 0 && mz0 + lanes <= layout_.mz_bins);
-    HTIMS_EXPECTS(tile.size() == layout_.drift_bins * lanes);
-    const double* src = tile.data();
-    double* dst = data_.data() + mz0;
-    for (std::size_t d = 0; d < layout_.drift_bins; ++d) {
-        std::copy_n(src, lanes, dst);
-        src += lanes;
-        dst += layout_.mz_bins;
-    }
-}
-
 void Frame::total_ion_current(std::span<double> out) const {
     HTIMS_EXPECTS(out.size() == layout_.drift_bins);
     for (std::size_t d = 0; d < layout_.drift_bins; ++d) {

@@ -4,7 +4,9 @@
 // detector counts. Drift is the slow axis (one TOF record per drift bin),
 // matching the instrument's nested acquisition. Storage is row-major with
 // drift as the row index, so a "TOF record" is one contiguous row and a
-// per-m/z drift profile is a strided column.
+// per-m/z drift profile is a strided column. The decoders work on tiles of
+// adjacent columns in place (EnhancedDeconvolver::decode_batch with the
+// m/z width as its stride), so a frame holds no tile layout of its own.
 #pragma once
 
 #include <cstddef>
@@ -57,19 +59,6 @@ public:
 
     /// Write a drift profile back into one m/z channel.
     void set_drift_profile(std::size_t mz, std::span<const double> profile);
-
-    /// Transpose the `lanes`-wide m/z column group starting at `mz0` into a
-    /// lane-interleaved (AoSoA) tile: out[d * lanes + l] = at(d, mz0 + l),
-    /// out.size() == drift_bins() * lanes. One streaming pass over the rows
-    /// — each row contributes `lanes` contiguous doubles (a full cache line
-    /// at lanes = 8) instead of the single double per row-sized stride a
-    /// per-channel drift_profile() copy touches, which is what amortizes the
-    /// transpose across a whole deconvolution tile.
-    void gather_tile(std::size_t mz0, std::size_t lanes, std::span<double> out) const;
-
-    /// Inverse of gather_tile: write a lane-interleaved tile back into the
-    /// `lanes` m/z columns starting at `mz0`.
-    void scatter_tile(std::size_t mz0, std::size_t lanes, std::span<const double> tile);
 
     /// Total ion current per drift bin (sum over m/z), appended into `out`.
     void total_ion_current(std::span<double> out) const;

@@ -45,28 +45,6 @@ void Deconvolver::decode(std::span<const double> y, std::span<double> x, Workspa
     for (std::size_t k = 0; k < n_; ++k) x[k] = scale_ * ws.buf[func_idx_[k]];
 }
 
-void Deconvolver::decode_batch(std::span<const double> y, std::span<double> x,
-                               BatchWorkspace& ws) const {
-    const std::size_t lanes = ws.lanes;
-    HTIMS_EXPECTS(lanes > 0 && ws.buf.size() == (n_ + 1) * lanes);
-    HTIMS_EXPECTS(y.size() == n_ * lanes && x.size() == n_ * lanes);
-    // The scatter indices cover [1, N] exactly once, so only node 0 needs
-    // explicit zeroing before the transform.
-    std::fill(ws.buf.begin(), ws.buf.begin() + static_cast<std::ptrdiff_t>(lanes), 0.0);
-    double* buf = ws.buf.data();
-    for (std::size_t t = 0; t < n_; ++t) {
-        HTIMS_DCHECK(state_idx_[t] >= 1 && state_idx_[t] <= n_,
-                     "scatter index targets a transform node");
-        std::copy_n(y.data() + t * lanes, lanes, buf + state_idx_[t] * lanes);
-    }
-    fwht_batch(ws.buf, lanes);
-    for (std::size_t k = 0; k < n_; ++k) {
-        const double* w = buf + func_idx_[k] * lanes;
-        double* out = x.data() + k * lanes;
-        for (std::size_t l = 0; l < lanes; ++l) out[l] = scale_ * w[l];
-    }
-}
-
 void Deconvolver::encode(std::span<const double> x, std::span<double> y, Workspace& ws) const {
     HTIMS_EXPECTS(x.size() == n_ && y.size() == n_);
     HTIMS_EXPECTS(ws.buf.size() == n_ + 1);

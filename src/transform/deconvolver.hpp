@@ -16,13 +16,20 @@
 // see pipeline/fpga.hpp); here it is the double-precision software decoder
 // used by the CPU backend and the verification reference for everything
 // else. Complexity O(N log N), allocation-free when a Workspace is reused.
+//
+// transform_tile() is the decode's scatter and transform for `lanes`
+// adjacent records at once, loaded straight from the rows of a frame or of
+// the FPGA model's bin store: the one tile loader both decoders share.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 
 #include "common/aligned_buffer.hpp"
+#include "common/contracts.hpp"
 #include "prs/sequence.hpp"
+#include "transform/fwht.hpp"
 
 namespace htims::transform {
 
@@ -52,24 +59,26 @@ public:
     void decode(std::span<const double> y, std::span<double> x, Workspace& ws) const;
     AlignedVector<double> decode(std::span<const double> y) const;
 
-    /// Scratch for a lane-interleaved batch of `lanes` transforms:
-    /// (N + 1) * lanes doubles.
-    struct BatchWorkspace {
-        AlignedVector<double> buf;
-        std::size_t lanes = 0;
-    };
-    BatchWorkspace make_batch_workspace(std::size_t lanes) const {
-        return BatchWorkspace{AlignedVector<double>((n_ + 1) * lanes), lanes};
+    /// Scatter and transform `lanes` records at once: element t of lane l is
+    /// rows[t * stride + l], t in [0, N). Zeroes node 0, copies each row's
+    /// `lanes` values to node s_t of the lane-interleaved `tile` (node j of
+    /// lane l at tile[j * lanes + l], tile.size() == (N + 1) * lanes) and
+    /// runs fwht_batch, so afterwards lane l's decoded x[k] is
+    /// decode_scale() * tile[f_k * lanes + l], bit-identical to decode().
+    /// For double (the CPU decode) and int64_t (the FPGA model's exact
+    /// integer decode); inline, as the load is most of a small tile's work.
+    template <typename T>
+    void transform_tile(std::span<const T> rows, std::size_t stride, std::size_t lanes,
+                        std::span<T> tile) const {
+        HTIMS_DCHECK(lanes >= 1 && lanes <= stride && tile.size() == (n_ + 1) * lanes &&
+                         rows.size() >= (n_ - 1) * stride + lanes,
+                     "tile loads inside the rows");
+        std::fill_n(tile.data(), lanes, T{0});  // the scatter covers [1, N] once
+        const T* row = rows.data();
+        for (std::size_t t = 0; t < n_; ++t, row += stride)
+            std::copy_n(row, lanes, tile.data() + std::size_t{state_idx_[t]} * lanes);
+        fwht_batch(tile, lanes);
     }
-
-    /// Decode `ws.lanes` independent records at once. `y` and `x` are
-    /// lane-interleaved (AoSoA): element t of lane l lives at
-    /// y[t * lanes + l]. The scatter/gather index permutations are applied
-    /// once per node group (L contiguous doubles move together) and the
-    /// transform runs through fwht_batch, so each lane's result is
-    /// bit-identical to decode() on that lane alone.
-    void decode_batch(std::span<const double> y, std::span<double> x,
-                      BatchWorkspace& ws) const;
 
     /// LFSR state trajectory s_t (scatter index for decode); values are
     /// distinct and nonzero, in [1, N].

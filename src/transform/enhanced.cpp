@@ -54,109 +54,85 @@ AlignedVector<double> EnhancedDeconvolver::decode(std::span<const double> y) con
 EnhancedDeconvolver::BatchWorkspace EnhancedDeconvolver::make_batch_workspace(
     std::size_t lanes) const {
     BatchWorkspace ws;
-    ws.base = base_.make_batch_workspace(lanes);
-    ws.phase_in.resize(n_ * lanes);
-    ws.phase_out.resize(n_ * lanes);
-    ws.z.resize(fine_len_ * lanes);
-    ws.anchor.resize(lanes);
+    ws.tile.resize((n_ + 1) * lanes);
+    if (factor_ > 1 && mode_ == prs::GateMode::kStretched) {
+        ws.z.resize(fine_len_ * lanes);
+        ws.integral.resize(fine_len_);
+    }
     ws.lanes = lanes;
     return ws;
 }
 
 void EnhancedDeconvolver::decode_batch(std::span<const double> y, std::span<double> x,
+                                       std::size_t stride, std::size_t lanes,
                                        BatchWorkspace& ws) const {
-    const std::size_t L = ws.lanes;
-    HTIMS_EXPECTS(L > 0 && ws.base.lanes == L);
-    HTIMS_EXPECTS(y.size() == fine_len_ * L && x.size() == fine_len_ * L);
-    if (factor_ == 1) {
-        base_.decode_batch(y, x, ws.base);
-        return;
-    }
+    HTIMS_EXPECTS(lanes >= 1 && lanes <= ws.lanes && lanes <= stride);
+    HTIMS_EXPECTS(y.size() >= (fine_len_ - 1) * stride + lanes &&
+                  x.size() >= (fine_len_ - 1) * stride + lanes);
     const auto f = static_cast<std::size_t>(factor_);
-    HTIMS_DCHECK(ws.phase_in.size() == n_ * L && ws.phase_out.size() == n_ * L,
-                 "phase scratch sized to one chip profile per lane");
-    HTIMS_DCHECK(ws.z.size() == fine_len_ * L && ws.anchor.size() == L,
-                 "stretched scratch sized to the fine grid");
-
-    if (mode_ == prs::GateMode::kPulsed) {
-        // F independent simplex systems, each decoded L lanes wide.
-        for (std::size_t r = 0; r < f; ++r) {
-            for (std::size_t q = 0; q < n_; ++q)
-                std::copy_n(y.data() + (f * q + r) * L, L, ws.phase_in.data() + q * L);
-            base_.decode_batch(ws.phase_in, ws.phase_out, ws.base);
-            for (std::size_t p = 0; p < n_; ++p)
-                std::copy_n(ws.phase_out.data() + p * L, L, x.data() + (f * p + r) * L);
+    const std::span<double> tile(ws.tile.data(), (n_ + 1) * lanes);
+    const auto gather = base_.gather_index();
+    const double scale = base_.decode_scale();
+    // Z_r = S^{-1} Y_r from phase r's N rows (fine bins f q + r), through
+    // the tile: chip p of lane l lands at dst[p * step + l].
+    const auto decode_phase = [&](std::size_t r, double* dst, std::size_t step) {
+        base_.transform_tile(y.subspan(r * stride), f * stride, lanes, tile);
+        for (std::size_t p = 0; p < n_; ++p) {
+            const double* w = tile.data() + std::size_t{gather[p]} * lanes;
+            for (std::size_t l = 0; l < lanes; ++l) dst[p * step + l] = scale * w[l];
         }
+    };
+
+    if (factor_ == 1 || mode_ == prs::GateMode::kPulsed) {
+        // F independent simplex systems, X_r = Z_r, back into phase r's
+        // rows. They are all in the tile before any is written, so decoding
+        // in place is exact.
+        for (std::size_t r = 0; r < f; ++r) decode_phase(r, x.data() + r * stride, f * stride);
         return;
     }
 
-    // Stretched gate. Z_r = S^{-1} Y_r for every phase, L lanes at a time.
-    for (std::size_t r = 0; r < f; ++r) {
-        for (std::size_t q = 0; q < n_; ++q)
-            std::copy_n(y.data() + (f * q + r) * L, L, ws.phase_in.data() + q * L);
-        base_.decode_batch(ws.phase_in, std::span(ws.z).subspan(r * n_ * L, n_ * L),
-                           ws.base);
-    }
-    const double* w = ws.z.data() + (f - 1) * n_ * L;  // Z_{F-1} = sum_t X_t
+    // Stretched gate. Every Z_r, lane-interleaved (z[(r N + q) L + l]),
+    // before any row of x is written.
+    HTIMS_DCHECK(ws.z.size() >= fine_len_ * lanes && ws.integral.size() == fine_len_,
+                 "stretched scratch sized to the fine grid");
+    double* z = ws.z.data();
+    for (std::size_t r = 0; r < f; ++r) decode_phase(r, z + r * n_ * lanes, lanes);
 
-    // Quiet-chip anchor per lane: first minimum of the chip-resolution total,
-    // matching std::min_element in the scalar decoder.
-    for (std::size_t l = 0; l < L; ++l) {
+    // Per lane, decode()'s recombination in its arithmetic order: P_r in
+    // contiguous scratch, then lane l's fine-grid result over its own column
+    // of z (read in full by then), in fine-bin order.
+    double* integral = ws.integral.data();
+    for (std::size_t l = 0; l < lanes; ++l) {
+        const auto zl = [&](std::size_t r, std::size_t q) { return z[(r * n_ + q) * lanes + l]; };
+        // Quiet-chip anchor: the first minimum of W = Z_{F-1}.
         std::size_t q0 = 0;
-        double best = w[l];
-        for (std::size_t q = 1; q < n_; ++q) {
-            const double v = w[q * L + l];
-            if (v < best) {
-                best = v;
-                q0 = q;
+        for (std::size_t q = 1; q < n_; ++q)
+            if (zl(f - 1, q) < zl(f - 1, q0)) q0 = q;
+        // P_r[q0] = 0; P_r[q] = P_r[q-1] + D_r[q] around the circle, with
+        // D_0[q] = Z_0[q] - W[q-1] and D_r[q] = Z_r[q] - Z_{r-1}[q].
+        for (std::size_t r = 0; r < f; ++r) {
+            double* p_r = integral + r * n_;
+            p_r[q0] = 0.0;
+            for (std::size_t s = 1, prev = q0; s < n_; ++s) {
+                const std::size_t q = prev + 1 == n_ ? 0 : prev + 1;
+                const double d = r == 0 ? zl(0, q) - zl(f - 1, prev) : zl(r, q) - zl(r - 1, q);
+                p_r[q] = p_r[prev] + d;
+                prev = q;
             }
         }
-        ws.anchor[l] = q0;
-    }
-
-    // Integrate each phase's circular difference equation. The D_r build is
-    // lane-wide; the prefix integration is a sequential scan and runs scalar
-    // per lane with each lane's own anchor — identical arithmetic order to
-    // the scalar decoder, so results stay bit-identical.
-    for (std::size_t r = 0; r < f; ++r) {
-        const double* zr = ws.z.data() + r * n_ * L;
-        if (r == 0) {
-            for (std::size_t q = 0; q < n_; ++q) {
-                const double* wm1 = w + ((q + n_ - 1) % n_) * L;
-                double* d = ws.phase_in.data() + q * L;
-                for (std::size_t l = 0; l < L; ++l) d[l] = zr[q * L + l] - wm1[l];
-            }
-        } else {
-            const double* zp = ws.z.data() + (r - 1) * n_ * L;
-            for (std::size_t i = 0; i < n_ * L; ++i) ws.phase_in[i] = zr[i] - zp[i];
-        }
-        for (std::size_t l = 0; l < L; ++l) {
-            const std::size_t q0 = ws.anchor[l];
-            HTIMS_DCHECK(q0 < n_, "lane anchor is a valid chip index");
-            ws.phase_out[q0 * L + l] = 0.0;
-            for (std::size_t s = 1; s < n_; ++s) {
-                const std::size_t q = (q0 + s) % n_;
-                const std::size_t prev = (q0 + s - 1) % n_;
-                ws.phase_out[q * L + l] =
-                    ws.phase_out[prev * L + l] + ws.phase_in[q * L + l];
-            }
-        }
-        for (std::size_t p = 0; p < n_; ++p)
-            std::copy_n(ws.phase_out.data() + p * L, L, x.data() + (f * p + r) * L);
-    }
-
-    // Per-lane residual redistribution, same summation order as the scalar
-    // decoder.
-    for (std::size_t l = 0; l < L; ++l) {
         double residual = 0.0;
         for (std::size_t q = 0; q < n_; ++q) {
-            double s = w[q * L + l];
-            for (std::size_t r = 0; r < f; ++r) s -= x[(f * q + r) * L + l];
+            double s = zl(f - 1, q);
+            for (std::size_t r = 0; r < f; ++r) s -= integral[r * n_ + q];
             residual += s;
         }
         const double alpha = residual / static_cast<double>(n_ * f);
-        for (std::size_t i = 0; i < fine_len_; ++i) x[i * L + l] += alpha;
+        for (std::size_t p = 0; p < n_; ++p)
+            for (std::size_t r = 0; r < f; ++r)
+                z[(f * p + r) * lanes + l] = integral[r * n_ + p] + alpha;
     }
+    for (std::size_t i = 0; i < fine_len_; ++i)
+        std::copy_n(z + i * lanes, lanes, x.data() + i * stride);
 }
 
 AlignedVector<double> EnhancedDeconvolver::encode(std::span<const double> x) const {

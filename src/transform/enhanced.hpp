@@ -25,6 +25,11 @@
 //    convention that the drift period is longer than the slowest ion so a
 //    baseline region always exists — then distributes the remaining
 //    constant so that sum_r X_r matches Z_{F-1} exactly.
+//
+// decode() takes one contiguous record and is the reference. decode_batch()
+// decodes `lanes` records where they lie, side by side in the rows of a
+// drift-major frame (the CPU backend's tiles), and matches decode() bit for
+// bit on every lane.
 #pragma once
 
 #include <span>
@@ -58,26 +63,26 @@ public:
     void decode(std::span<const double> y, std::span<double> x, Workspace& ws) const;
     AlignedVector<double> decode(std::span<const double> y) const;
 
-    /// Scratch for a lane-interleaved batch of `lanes` records.
+    /// Scratch for decode_batch() of up to `lanes` records.
     struct BatchWorkspace {
-        Deconvolver::BatchWorkspace base;
-        AlignedVector<double> phase_in;        // one phase, N * lanes
-        AlignedVector<double> phase_out;       // one phase, N * lanes
-        AlignedVector<double> z;               // Z_r stack, F * N * lanes (stretched)
-        std::vector<std::size_t> anchor;       // per-lane quiet-chip index
+        AlignedVector<double> tile;      // one transform tile, (N + 1) * lanes
+        AlignedVector<double> z;         // Z_r stack, F * N * lanes (stretched)
+        AlignedVector<double> integral;  // one lane's P_r stack, F * N (stretched)
         std::size_t lanes = 0;
     };
     BatchWorkspace make_batch_workspace(std::size_t lanes) const;
 
-    /// Decode `ws.lanes` fine-grid records at once; y and x are
-    /// lane-interleaved (element i of lane l at y[i * lanes + l]). The
-    /// per-phase FWHT inversions run `lanes` wide through
-    /// Deconvolver::decode_batch; the stretched-mode circular integration is
-    /// inherently sequential per lane and runs scalar per lane in the exact
-    /// arithmetic order of decode(), so batched results match the scalar
-    /// decoder bit for bit (each lane keeps its own quiet-chip anchor).
-    void decode_batch(std::span<const double> y, std::span<double> x,
-                      BatchWorkspace& ws) const;
+    /// Decode `lanes` (at most ws.lanes) fine-grid records at once, in the
+    /// rows they lie in: element i of lane l is y[i * stride + l] and
+    /// x[i * stride + l] — `lanes` adjacent m/z channels of a drift-major
+    /// frame when stride is its m/z width. x may alias y. Each phase's rows
+    /// go through Deconvolver::transform_tile, `lanes` wide; the
+    /// stretched-mode circular integration is sequential per lane and runs
+    /// per lane in the exact arithmetic order of decode(), so every lane
+    /// matches the scalar decoder bit for bit (each with its own quiet-chip
+    /// anchor).
+    void decode_batch(std::span<const double> y, std::span<double> x, std::size_t stride,
+                      std::size_t lanes, BatchWorkspace& ws) const;
 
     /// Forward model on the fine grid (delegates to the gate waveform);
     /// reference implementation for tests and benches.

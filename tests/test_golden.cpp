@@ -33,6 +33,12 @@ constexpr std::uint64_t kCpuDecodeDigest = 0x83C371BD082DDA6AULL;
 // QFormat{24,6} (the CPU result's grid is coarser), so the two paths digest
 // identically — the E8 fidelity claim as a bit-equality.
 constexpr std::uint64_t kFpgaDecodeDigest = 0x83C371BD082DDA6AULL;
+// The CPU backend's decode of the golden input under stretched gating, and
+// at an m/z width that no decode tile divides (which, pulsed, digests like
+// the FPGA model's ragged frame below). Stretched decoding adds one division
+// by N * F, correctly rounded in every build, so it pins as firmly.
+constexpr std::uint64_t kCpuStretchedDigest = 0x8F547F12B38A4DAAULL;
+constexpr std::uint64_t kCpuRaggedMzDigest = 0xC73315FD36BDE86BULL;
 // The FPGA model's decode layouts beyond the pulsed golden frame: stretched
 // gating, an m/z width that no decode tile divides, a budget-overrun partial
 // frame cut inside a tile, and the exact saturation census of a capture
@@ -94,6 +100,30 @@ TEST(Golden, CpuDecodeDigestPinned) {
     // The scalar oracle decodes to the same bits — and so the same digest.
     EXPECT_EQ(frame_digest(cpu.deconvolve_scalar(golden_raw(layout, 42))),
               kCpuDecodeDigest);
+}
+
+/// Every CPU decode path of the golden input: the tile decode into a new
+/// frame, the tile decode in place, and the per-channel scalar oracle.
+void expect_cpu_paths_digest(const prs::OversampledPrs& seq, const FrameLayout& layout,
+                             std::uint64_t want) {
+    CpuBackend cpu(seq, layout, 2);
+    Frame raw = golden_raw(layout, 42);
+    EXPECT_EQ(frame_digest(cpu.deconvolve(raw)), want) << "into a new frame";
+    EXPECT_EQ(frame_digest(cpu.deconvolve_scalar(raw)), want) << "scalar oracle";
+    cpu.deconvolve(raw, raw);
+    EXPECT_EQ(frame_digest(raw), want) << "in place";
+}
+
+TEST(Golden, CpuStretchedDigestPinned) {
+    const prs::OversampledPrs seq(6, 2, prs::GateMode::kStretched);
+    expect_cpu_paths_digest(seq, golden_layout(seq), kCpuStretchedDigest);
+}
+
+TEST(Golden, CpuRaggedMzDigestPinned) {
+    const prs::OversampledPrs seq(6, 2, prs::GateMode::kPulsed);
+    const FrameLayout layout{.drift_bins = seq.length(), .mz_bins = 33,
+                             .drift_bin_width_s = 1e-4};
+    expect_cpu_paths_digest(seq, layout, kCpuRaggedMzDigest);
 }
 
 TEST(Golden, FpgaDecodeDigestPinned) {

@@ -104,7 +104,8 @@ TEST_P(PrsGridTest, BatchDecodeMatchesScalarOracle) {
     for (int trial = 0; trial < kSeedsPerCase; ++trial) {
         const auto seed = static_cast<std::uint64_t>(
             9000 + 1000 * c.order + 100 * c.factor + trial);
-        // Lane-interleaved batch of encoded records (decoder input domain).
+        // kLanes encoded records side by side in each row (decoder input
+        // domain).
         AlignedVector<double> lanes_y(len * kLanes), lanes_x(len * kLanes);
         std::vector<AlignedVector<double>> per_lane_y(kLanes);
         AlignedVector<double> y(len);
@@ -115,7 +116,7 @@ TEST_P(PrsGridTest, BatchDecodeMatchesScalarOracle) {
             for (std::size_t i = 0; i < len; ++i)
                 lanes_y[i * kLanes + l] = y[i];
         }
-        decon.decode_batch(lanes_y, lanes_x, batch_ws);
+        decon.decode_batch(lanes_y, lanes_x, kLanes, kLanes, batch_ws);
         AlignedVector<double> want(len);
         for (std::size_t l = 0; l < kLanes; ++l) {
             decon.decode(per_lane_y[l], want, scalar_ws);

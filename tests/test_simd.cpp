@@ -1,8 +1,8 @@
 // Tests for the batched multi-lane SIMD deconvolution path: the runtime
-// dispatch shim, fwht_batch vs per-lane scalar FWHT, Deconvolver /
-// EnhancedDeconvolver decode_batch parity against the scalar oracle
-// (including ragged lane counts), the Frame tile transpose, the grained
-// ThreadPool::parallel_for, the CpuBackend batched frame path, the
+// dispatch shim, fwht_batch vs per-lane scalar FWHT, EnhancedDeconvolver
+// decode_batch parity against the scalar oracle (ragged lane counts, rows
+// wider than the tile, in place), the grained ThreadPool::parallel_for, the
+// CpuBackend tile path against its scalar oracle, the
 // dispatched CRC-32 kernel against the bytewise oracle, and the FPGA model's
 // integer kernels: the int64 fwht_batch, the saturating accumulate and the
 // output quantizer.
@@ -24,8 +24,6 @@
 #include "pipeline/cpu_backend.hpp"
 #include "pipeline/frame.hpp"
 #include "prs/oversampled.hpp"
-#include "prs/sequence.hpp"
-#include "transform/deconvolver.hpp"
 #include "transform/enhanced.hpp"
 #include "transform/fwht.hpp"
 
@@ -35,12 +33,7 @@ namespace {
 using pipeline::Frame;
 using pipeline::FrameLayout;
 using prs::GateMode;
-using prs::MSequence;
 using prs::OversampledPrs;
-
-// The batched path promises bit-identical per-lane results; 1e-12 is the
-// acceptance bound, 0 the expectation.
-constexpr double kParityTol = 1e-12;
 
 // ------------------------------------------------------------ dispatch ----
 
@@ -147,15 +140,64 @@ TEST(FwhtBatch, SingleNodeIsIdentity) {
     EXPECT_DOUBLE_EQ(one[3], 0.5);
 }
 
-// --------------------------------------------------- Deconvolver batch ----
+// ------------------------------------------- EnhancedDeconvolver batch ----
 
+// `lanes` random records laid out as decode_batch reads them: element i of
+// lane l at rows[i * stride + l], with stride - lanes padding columns of a
+// sentinel the decode must leave alone.
+struct LaneRows {
+    std::vector<AlignedVector<double>> lane;  // each record on its own
+    AlignedVector<double> rows;
+};
+
+constexpr double kPadding = -12345.0;
+
+LaneRows random_lane_rows(std::size_t len, std::size_t lanes, std::size_t stride,
+                          double hi, std::uint64_t seed) {
+    LaneRows out{std::vector<AlignedVector<double>>(lanes, AlignedVector<double>(len)),
+                 AlignedVector<double>(len * stride, kPadding)};
+    Rng rng(seed);
+    for (std::size_t l = 0; l < lanes; ++l)
+        for (std::size_t i = 0; i < len; ++i) {
+            out.lane[l][i] = rng.uniform(0.0, hi);
+            out.rows[i * stride + l] = out.lane[l][i];
+        }
+    return out;
+}
+
+/// decode_batch out of place and in place against decode() on each lane,
+/// bit for bit, with the padding columns untouched.
+void expect_batch_matches_scalar(const transform::EnhancedDeconvolver& d, std::size_t lanes,
+                                 std::size_t stride, double hi, std::uint64_t seed) {
+    const std::size_t n = d.length();
+    LaneRows in = random_lane_rows(n, lanes, stride, hi, seed);
+    AlignedVector<double> xb(n * stride, kPadding);
+    auto wsb = d.make_batch_workspace(lanes);
+    d.decode_batch(in.rows, xb, stride, lanes, wsb);
+    auto ws = d.make_workspace();
+    AlignedVector<double> x(n);
+    for (std::size_t l = 0; l < lanes; ++l) {
+        d.decode(in.lane[l], x, ws);
+        for (std::size_t k = 0; k < n; ++k)
+            ASSERT_EQ(xb[k * stride + l], x[k]) << "lane=" << l << " k=" << k;
+    }
+    d.decode_batch(in.rows, in.rows, stride, lanes, wsb);
+    ASSERT_EQ(in.rows, xb) << "in place";
+    for (std::size_t k = 0; k < n; ++k)
+        for (std::size_t l = lanes; l < stride; ++l)
+            ASSERT_EQ(xb[k * stride + l], kPadding) << "padding column " << l;
+}
+
+// The batched simplex decode (EnhancedDeconvolver at F = 1, in contiguous
+// L-lane rows) against the plain Deconvolver::decode on each lane.
 class DecodeBatchParity : public ::testing::TestWithParam<std::tuple<int, std::size_t>> {};
 
 TEST_P(DecodeBatchParity, MatchesScalarDecode) {
     const auto [order, lanes] = GetParam();
-    const MSequence seq(order);
-    const transform::Deconvolver d(seq);
-    const std::size_t n = seq.length();
+    const OversampledPrs prs(order, 1, GateMode::kPulsed);
+    const transform::Deconvolver d(prs.base());
+    const transform::EnhancedDeconvolver batch(prs);
+    const std::size_t n = prs.length();
     Rng rng(23 + static_cast<std::uint32_t>(order));
     std::vector<AlignedVector<double>> y(lanes, AlignedVector<double>(n));
     AlignedVector<double> yb(n * lanes), xb(n * lanes);
@@ -165,14 +207,13 @@ TEST_P(DecodeBatchParity, MatchesScalarDecode) {
             yb[t * lanes + l] = y[l][t];
         }
     auto ws = d.make_workspace();
-    auto wsb = d.make_batch_workspace(lanes);
-    d.decode_batch(yb, xb, wsb);
+    auto wsb = batch.make_batch_workspace(lanes);
+    batch.decode_batch(yb, xb, lanes, lanes, wsb);
     AlignedVector<double> x(n);
     for (std::size_t l = 0; l < lanes; ++l) {
         d.decode(y[l], x, ws);
         for (std::size_t k = 0; k < n; ++k)
-            ASSERT_NEAR(xb[k * lanes + l], x[k], kParityTol)
-                << "lane=" << l << " k=" << k;
+            ASSERT_EQ(xb[k * lanes + l], x[k]) << "lane=" << l << " k=" << k;
     }
 }
 
@@ -180,116 +221,60 @@ INSTANTIATE_TEST_SUITE_P(OrdersAndLanes, DecodeBatchParity,
                          ::testing::Combine(::testing::Values(6, 9, 11),
                                             ::testing::Values<std::size_t>(3, 4, 8)));
 
-TEST(DecodeBatch, SizeMismatchRejected) {
-    const MSequence seq(6);
-    const transform::Deconvolver d(seq);
-    auto ws = d.make_batch_workspace(4);
-    AlignedVector<double> y(seq.length() * 4, 0.0);
-    AlignedVector<double> bad(seq.length() * 3, 0.0);
-    EXPECT_THROW(d.decode_batch(y, bad, ws), PreconditionError);
-}
-
-// ------------------------------------------- EnhancedDeconvolver batch ----
-
 using EnhancedBatchParam = std::tuple<int, int, GateMode, std::size_t>;
 
 class EnhancedBatchParity : public ::testing::TestWithParam<EnhancedBatchParam> {};
 
+// Lane counts 3 (no register multiple), 4 and 8, in rows two columns wider
+// than the tile. F = 1 is the classic simplex decode in either gate mode.
 TEST_P(EnhancedBatchParity, MatchesScalarDecode) {
     const auto [order, factor, mode, lanes] = GetParam();
     const OversampledPrs prs(order, factor, mode);
     const transform::EnhancedDeconvolver d(prs);
-    const std::size_t n = prs.length();
-    Rng rng(31 + static_cast<std::uint32_t>(order * factor));
-    std::vector<AlignedVector<double>> y(lanes, AlignedVector<double>(n));
-    AlignedVector<double> yb(n * lanes), xb(n * lanes);
-    for (std::size_t l = 0; l < lanes; ++l)
-        for (std::size_t t = 0; t < n; ++t) {
-            y[l][t] = rng.uniform(0.0, 200.0);
-            yb[t * lanes + l] = y[l][t];
-        }
-    auto ws = d.make_workspace();
-    auto wsb = d.make_batch_workspace(lanes);
-    d.decode_batch(yb, xb, wsb);
-    AlignedVector<double> x(n);
-    for (std::size_t l = 0; l < lanes; ++l) {
-        d.decode(y[l], x, ws);
-        for (std::size_t k = 0; k < n; ++k)
-            ASSERT_NEAR(xb[k * lanes + l], x[k], kParityTol)
-                << "order=" << order << " factor=" << factor << " lane=" << l
-                << " k=" << k;
-    }
+    expect_batch_matches_scalar(d, lanes, lanes + 2, 200.0,
+                                31 + static_cast<std::uint64_t>(order * factor));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     OrdersFactorsModes, EnhancedBatchParity,
     ::testing::Combine(::testing::Values(6, 9, 11), ::testing::Values(1, 2, 4),
                        ::testing::Values(GateMode::kPulsed, GateMode::kStretched),
-                       ::testing::Values<std::size_t>(4, 8)));
+                       ::testing::Values<std::size_t>(3, 4, 8)));
 
-// Ragged lane count through the full enhanced decoder (generic kernel).
+// Ragged lane count through the full enhanced decoder (generic kernel), in
+// a workspace sized for more lanes and rows exactly the tile's width.
 TEST(EnhancedBatch, RaggedLaneCountMatchesScalar) {
     const OversampledPrs prs(7, 2, GateMode::kStretched);
     const transform::EnhancedDeconvolver d(prs);
     const std::size_t lanes = 5;
     const std::size_t n = prs.length();
-    Rng rng(37);
-    AlignedVector<double> yb(n * lanes), xb(n * lanes);
-    std::vector<AlignedVector<double>> y(lanes, AlignedVector<double>(n));
-    for (std::size_t l = 0; l < lanes; ++l)
-        for (std::size_t t = 0; t < n; ++t) {
-            y[l][t] = rng.uniform(0.0, 50.0);
-            yb[t * lanes + l] = y[l][t];
-        }
-    auto wsb = d.make_batch_workspace(lanes);
-    d.decode_batch(yb, xb, wsb);
+    LaneRows in = random_lane_rows(n, lanes, lanes, 50.0, 37);
+    AlignedVector<double> xb(n * lanes);
+    auto wsb = d.make_batch_workspace(8);
+    d.decode_batch(in.rows, xb, lanes, lanes, wsb);
     auto ws = d.make_workspace();
     AlignedVector<double> x(n);
     for (std::size_t l = 0; l < lanes; ++l) {
-        d.decode(y[l], x, ws);
+        d.decode(in.lane[l], x, ws);
         for (std::size_t k = 0; k < n; ++k)
-            ASSERT_NEAR(xb[k * lanes + l], x[k], kParityTol);
+            ASSERT_EQ(xb[k * lanes + l], x[k]) << "lane=" << l << " k=" << k;
     }
 }
 
-// ------------------------------------------------------- Frame tiles ----
-
-TEST(FrameTiles, GatherMatchesDriftProfiles) {
-    const FrameLayout layout{.drift_bins = 16, .mz_bins = 10, .drift_bin_width_s = 1e-4};
-    Frame f(layout);
-    Rng rng(41);
-    for (double& v : f.data()) v = rng.uniform(0.0, 9.0);
-    const std::size_t lanes = 4, mz0 = 3;
-    AlignedVector<double> tile(layout.drift_bins * lanes);
-    f.gather_tile(mz0, lanes, tile);
-    AlignedVector<double> col(layout.drift_bins);
-    for (std::size_t l = 0; l < lanes; ++l) {
-        f.drift_profile(mz0 + l, col);
-        for (std::size_t dd = 0; dd < layout.drift_bins; ++dd)
-            EXPECT_DOUBLE_EQ(tile[dd * lanes + l], col[dd]);
-    }
-}
-
-TEST(FrameTiles, ScatterRoundTrips) {
-    const FrameLayout layout{.drift_bins = 8, .mz_bins = 12, .drift_bin_width_s = 1e-4};
-    Frame src(layout), dst(layout);
-    Rng rng(43);
-    for (double& v : src.data()) v = rng.uniform(-1.0, 1.0);
-    AlignedVector<double> tile(layout.drift_bins * 4);
-    for (std::size_t mz0 : {std::size_t{0}, std::size_t{4}, std::size_t{8}}) {
-        src.gather_tile(mz0, 4, tile);
-        dst.scatter_tile(mz0, 4, tile);
-    }
-    for (std::size_t i = 0; i < src.data().size(); ++i)
-        EXPECT_DOUBLE_EQ(dst.data()[i], src.data()[i]);
-}
-
-TEST(FrameTiles, OutOfRangeRejected) {
-    const FrameLayout layout{.drift_bins = 4, .mz_bins = 6, .drift_bin_width_s = 1e-4};
-    Frame f(layout);
-    AlignedVector<double> tile(layout.drift_bins * 4);
-    EXPECT_THROW(f.gather_tile(4, 4, tile), PreconditionError);
-    EXPECT_THROW(f.scatter_tile(4, 4, tile), PreconditionError);
+TEST(EnhancedBatch, SizeMismatchRejected) {
+    const OversampledPrs prs(6, 2, GateMode::kPulsed);
+    const transform::EnhancedDeconvolver d(prs);
+    auto ws = d.make_batch_workspace(4);
+    const std::size_t n = prs.length();
+    AlignedVector<double> y(n * 4, 0.0);
+    AlignedVector<double> x(n * 4, 0.0);
+    AlignedVector<double> short_rows((n - 1) * 4 + 3, 0.0);
+    EXPECT_THROW(d.decode_batch(y, short_rows, 4, 4, ws), PreconditionError);
+    EXPECT_THROW(d.decode_batch(short_rows, x, 4, 4, ws), PreconditionError);
+    EXPECT_THROW(d.decode_batch(y, x, 3, 4, ws), PreconditionError);  // lanes > stride
+    AlignedVector<double> wide(n * 8, 0.0);
+    EXPECT_THROW(d.decode_batch(wide, wide, 8, 8, ws), PreconditionError);  // > ws.lanes
+    EXPECT_THROW(d.decode_batch(y, x, 4, 0, ws), PreconditionError);
 }
 
 // -------------------------------------------------- parallel_for grain ----
@@ -360,7 +345,7 @@ TEST(ParallelForGrain, MutableStateCallableCompiles) {
 class CpuBackendParity : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(CpuBackendParity, BatchedMatchesScalarIncludingRaggedTail) {
-    const std::size_t mz_bins = GetParam();  // chosen to leave ragged tails
+    const std::size_t mz_bins = GetParam();  // chosen to leave a ragged last tile
     const OversampledPrs seq(6, 2, GateMode::kPulsed);
     const FrameLayout layout{.drift_bins = seq.length(),
                              .mz_bins = mz_bins,
@@ -372,16 +357,16 @@ TEST_P(CpuBackendParity, BatchedMatchesScalarIncludingRaggedTail) {
     const Frame batched = cpu.deconvolve(raw);
     const Frame scalar = cpu.deconvolve_scalar(raw);
     for (std::size_t i = 0; i < batched.data().size(); ++i)
-        ASSERT_NEAR(batched.data()[i], scalar.data()[i], kParityTol) << "i=" << i;
-    // In place (the streaming engine's decode): bit-identical, tiles and
-    // ragged tail alike.
+        ASSERT_EQ(batched.data()[i], scalar.data()[i]) << "i=" << i;
+    // In place (the streaming engine's decode): bit-identical, full tiles
+    // and the narrower last tile alike.
     cpu.deconvolve(raw, raw);
     for (std::size_t i = 0; i < batched.data().size(); ++i)
         ASSERT_EQ(raw.data()[i], batched.data()[i]) << "i=" << i;
 }
 
-// 3: below any lane width (all tail); 19: 2 tiles of 8 + 3 or 4 tiles of
-// 4 + 3; 32: exact multiple of both supported widths.
+// 3: below any lane width (one narrow tile); 19: 2 tiles of 8 + one of 3,
+// or 4 tiles of 4 + one of 3; 32: exact multiple of both supported widths.
 INSTANTIATE_TEST_SUITE_P(MzWidths, CpuBackendParity,
                          ::testing::Values<std::size_t>(3, 19, 32));
 
@@ -397,7 +382,7 @@ TEST(CpuBackend, StretchedModeBatchedMatchesScalar) {
     const Frame batched = cpu.deconvolve(raw);
     const Frame scalar = cpu.deconvolve_scalar(raw);
     for (std::size_t i = 0; i < batched.data().size(); ++i)
-        ASSERT_NEAR(batched.data()[i], scalar.data()[i], kParityTol);
+        ASSERT_EQ(batched.data()[i], scalar.data()[i]) << "i=" << i;
     cpu.deconvolve(raw, raw);  // in place: bit-identical
     for (std::size_t i = 0; i < batched.data().size(); ++i)
         ASSERT_EQ(raw.data()[i], batched.data()[i]) << "i=" << i;
