@@ -2,11 +2,12 @@
 // whose cost determines every throughput number in E3/E4 — FWHT (scalar and
 // lane-blocked batch), the fast simplex decode (scalar and batched), the
 // enhanced oversampled decode, the FPGA model's integer decode and capture,
-// the SPSC streaming link, and the CRC-32 every container and store write
-// and read runs. Besides the console table, the run emits a
-// BENCH_KERNELS.json run report (htims.telemetry.v1): every benchmark's
-// items/s as a scalar, plus the scalar-vs-batched speedups the batched
-// deconvolution path is gated on — so the kernel perf trajectory stays
+// the SPSC streaming link, the CRC-32 every container and store write and
+// read runs, and the analysis stage's m/z profile and spectrum encode.
+// Besides the console table, the run emits a BENCH_KERNELS.json run report
+// (htims.telemetry.v1): every benchmark's items/s as a scalar (the median
+// under --benchmark_repetitions), plus the kernel-vs-oracle speedups the
+// bench-smoke gate checks — so the kernel perf trajectory stays
 // machine-readable across commits.
 #include <benchmark/benchmark.h>
 
@@ -25,10 +26,12 @@
 #include <sched.h>
 #endif
 
+#include "analysis/encoder.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "pipeline/cpu_backend.hpp"
 #include "pipeline/fpga.hpp"
+#include "pipeline/frame.hpp"
 #include "pipeline/spsc_ring.hpp"
 #include "prs/oversampled.hpp"
 #include "telemetry/telemetry.hpp"
@@ -288,6 +291,45 @@ static void BM_Crc32(benchmark::State& state, Kernel kernel) {
 BENCHMARK_CAPTURE(BM_Crc32, bytewise, &crc32_bytewise);
 BENCHMARK_CAPTURE(BM_Crc32, dispatched, &crc32);
 
+// The analysis stage's spectrum encode at perfbench's paced shape (D = 4096,
+// 256 m/z, top_peaks 48, 32 levels) on a spectrum whose 256 bins are all
+// positive, so the top-k selection runs and the 48-peak bundle settles its
+// even splits with the tiebreak: the carry-save encode() and the per-bit
+// vote oracle. Items are spectra.
+static void BM_SpectrumEncode(benchmark::State& state, bool reference) {
+    const analysis::SpectrumEncoder encoder(analysis::SpectrumEncoderConfig{
+        .dim = 4096, .mz_bins = 256, .levels = 32, .top_peaks = 48, .seed = 42});
+    std::vector<double> spectrum(256);
+    Rng rng(8);
+    for (auto& v : spectrum) v = rng.uniform(1.0, 1000.0);
+    for (auto _ : state) {
+        const analysis::Hypervector hv =
+            reference ? encoder.encode_reference(spectrum) : encoder.encode(spectrum);
+        benchmark::DoNotOptimize(hv.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK_CAPTURE(BM_SpectrumEncode, reference, true);
+BENCHMARK_CAPTURE(BM_SpectrumEncode, bitsliced, false);
+
+// The analysis stage's m/z profile of one paced-shape decoded frame (order-8,
+// oversampling-2 PRS x 256 m/z = 510 x 256 cells) of mixed signs, through
+// the dispatched positive column sums. Items are cells.
+static void BM_MzProfile(benchmark::State& state) {
+    const pipeline::FrameLayout layout{.drift_bins = 510, .mz_bins = 256,
+                                       .drift_bin_width_s = 1e-4};
+    pipeline::Frame frame(layout);
+    Rng rng(9);
+    for (auto& v : frame.data()) v = rng.uniform(-100.0, 400.0);
+    for (auto _ : state) {
+        const std::vector<double> profile = analysis::mz_intensity_profile(frame);
+        benchmark::DoNotOptimize(profile.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(layout.cells()));
+}
+BENCHMARK(BM_MzProfile);
+
 // Whether crc32() dispatches the PCLMULQDQ fold: at the x86 AVX2 and
 // AVX-512 tiers of a CPU that reports pclmul (common/crc32.cpp). Anywhere
 // else it runs the bytewise loop itself, and there is no margin to gate.
@@ -403,19 +445,24 @@ BENCHMARK(BM_SpscRingStream)->Arg(1)->Arg(64)->UseRealTime();
 
 namespace {
 
-// Console output plus capture: every finished run's items/s lands in the
-// RunMeta scalars keyed by the benchmark's display name, which the JSON run
-// report then persists.
+// Console output plus capture: each benchmark's items/s lands once in the
+// RunMeta scalars, keyed by its base name, which the JSON run report then
+// persists. A single run records itself; under --benchmark_repetitions the
+// median aggregate is recorded and the repetitions are not, so each key
+// holds one figure whether or not aggregates-only reporting is on.
 class CaptureReporter : public benchmark::ConsoleReporter {
 public:
     explicit CaptureReporter(telemetry::RunMeta& meta) : meta_(meta) {}
 
     void ReportRuns(const std::vector<Run>& runs) override {
         for (const Run& run : runs) {
-            if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
+            if (run.error_occurred) continue;
+            const bool single = run.run_type == Run::RT_Iteration && run.repetitions <= 1;
+            const bool median =
+                run.run_type == Run::RT_Aggregate && run.aggregate_name == "median";
             const auto it = run.counters.find("items_per_second");
-            if (it != run.counters.end())
-                meta_.scalars.emplace_back(run.benchmark_name() + ".items_per_second",
+            if ((single || median) && it != run.counters.end())
+                meta_.scalars.emplace_back(run.run_name.str() + ".items_per_second",
                                            it->second.value);
         }
         ConsoleReporter::ReportRuns(runs);
@@ -508,6 +555,21 @@ int main(int argc, char** argv) {
         if (crc32_folds() && speedup < 4.0)
             std::cout << "REGRESSION: speedup.crc32 " << speedup
                       << " < 4.0 (dispatched CRC-32 vs bytewise oracle)\n";
+    }
+
+    const double encode_reference =
+        find_scalar(meta, "BM_SpectrumEncode/reference.items_per_second");
+    const double encode_bitsliced =
+        find_scalar(meta, "BM_SpectrumEncode/bitsliced.items_per_second");
+    if (encode_reference > 0.0 && encode_bitsliced > 0.0) {
+        const double speedup = encode_bitsliced / encode_reference;
+        meta.scalars.emplace_back("speedup.hd_encode", speedup);
+        // Word-at-a-time arithmetic, so the margin holds on every tier: an
+        // encode that no longer clears 2x over the per-bit vote puts the
+        // bundle back on the paced frame's critical path.
+        if (speedup < 2.0)
+            std::cout << "REGRESSION: speedup.hd_encode " << speedup
+                      << " < 2.0 (carry-save encode vs per-bit vote oracle)\n";
     }
 
     bench::write_report("BENCH_KERNELS.json", meta);

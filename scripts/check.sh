@@ -25,8 +25,10 @@
 #             correct under the simulated C++11 memory model" and "the
 #             checker can actually detect ordering bugs".
 #   asan      rebuild and re-run the suite under AddressSanitizer + UBSan
-#             (-DHTIMS_SANITIZE=ON) in build-asan/, with -DHTIMS_NATIVE=ON
-#             so the batched SIMD paths compile at the host's full ISA.
+#             (-DHTIMS_SANITIZE=ON, which adds a fatal float-cast-overflow
+#             check to GCC's UBSan set) in build-asan/, with
+#             -DHTIMS_NATIVE=ON so the batched SIMD paths compile at the
+#             host's full ISA.
 #   tsan      rebuild and re-run the suite under ThreadSanitizer
 #             (-DHTIMS_TSAN=ON) in build-tsan/. This is the race gate: the
 #             suite includes tests/test_race.cpp, which stresses the SPSC
@@ -70,8 +72,10 @@
 #             per-record) drops below 1.0, when the CPU backend's tile
 #             decode of a paced-shape frame (one thread, pulsed or
 #             stretched) is slower than its own per-channel scalar oracle
-#             (speedup.cpu_frame_decode < 1.0), or when the dispatched
-#             CRC-32 kernel falls below 4x its bytewise oracle,
+#             (speedup.cpu_frame_decode < 1.0), when the dispatched
+#             CRC-32 kernel falls below 4x its bytewise oracle, or when the
+#             carry-save spectrum encode at the paced shape falls below 2x
+#             its per-bit vote oracle (speedup.hd_encode < 2.0),
 #             bench_e16_fleet when the
 #             4-stream paced aggregate falls below 2x the single-stream
 #             rate, and bench_e19_hdsearch when the SIMD Hamming kernel

@@ -1,11 +1,14 @@
 #include "analysis/encoder.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "pipeline/frame.hpp"
 
 namespace htims::analysis {
@@ -62,6 +65,80 @@ SpectrumEncoder::SpectrumEncoder(const SpectrumEncoderConfig& config)
 Hypervector SpectrumEncoder::encode(std::span<const double> spectrum) const {
     HTIMS_EXPECTS(spectrum.size() == config_.mz_bins);
 
+    // One scan: the positive bins (NaN compares false) and their maximum.
+    std::vector<std::size_t> peaks;
+    double maxv = 0.0;
+    for (std::size_t i = 0; i < spectrum.size(); ++i)
+        if (spectrum[i] > 0.0) {
+            peaks.push_back(i);
+            maxv = std::max(maxv, spectrum[i]);
+        }
+    HTIMS_EXPECTS(std::isfinite(maxv));
+    if (peaks.empty()) return Hypervector(config_.dim);
+    // Top peaks by intensity, index as a deterministic tiebreak. No peak is
+    // NaN, so the order is strict and total: selection keeps the set a full
+    // sort keeps, and the bundle below does not depend on the order in it.
+    if (peaks.size() > config_.top_peaks) {
+        const auto cut = peaks.begin() + static_cast<std::ptrdiff_t>(config_.top_peaks);
+        std::nth_element(peaks.begin(), cut, peaks.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             if (spectrum[a] != spectrum[b]) return spectrum[a] > spectrum[b];
+                             return a < b;
+                         });
+        peaks.resize(config_.top_peaks);
+    }
+
+    // Carry-save bundle: each word's per-bit vote count lives in `planes`
+    // bit planes (counters[w * planes + p] holds bit p of the 64 counts),
+    // and each bound word is added in by ripple carry. A count never
+    // exceeds n < 2^planes, so the carry dies inside the planes.
+    const std::size_t n = peaks.size();
+    const auto planes = static_cast<std::size_t>(std::bit_width(n));
+    const std::size_t words = config_.dim / 64;
+    std::vector<std::uint64_t> counters(words * planes, 0);
+    for (const std::size_t bin : peaks) {
+        const double rel = spectrum[bin] / maxv;
+        const auto rung = std::min<std::size_t>(
+            static_cast<std::size_t>(rel * static_cast<double>(config_.levels - 1) + 0.5),
+            config_.levels - 1);
+        const std::uint64_t* id = id_[bin].data();
+        const std::uint64_t* lvl = level_[rung].data();
+        for (std::size_t w = 0; w < words; ++w) {
+            std::uint64_t* count = counters.data() + w * planes;
+            for (std::uint64_t carry = id[w] ^ lvl[w]; carry != 0; ++count) {
+                const std::uint64_t next = *count & carry;
+                *count ^= carry;
+                carry = next;
+            }
+        }
+    }
+
+    // Majority: 2 * count > n, or an even split settled by the tiebreak
+    // word. Compare each count against floor(n / 2) plane by plane from the
+    // top: a bit stays `eq` while the count matches the half so far, and
+    // turns `gt` at the first plane where the count has a 1 and the half a 0.
+    const std::size_t half = n / 2;
+    Hypervector out(config_.dim);
+    for (std::size_t w = 0; w < words; ++w) {
+        const std::uint64_t* count = counters.data() + w * planes;
+        std::uint64_t gt = 0;
+        std::uint64_t eq = ~std::uint64_t{0};
+        for (std::size_t p = planes; p-- > 0;) {
+            if ((half >> p) & 1u) {
+                eq &= count[p];
+            } else {
+                gt |= eq & count[p];
+                eq &= ~count[p];
+            }
+        }
+        out.data()[w] = gt | (n % 2 == 0 ? eq & tiebreak_.data()[w] : 0);
+    }
+    return out;
+}
+
+Hypervector SpectrumEncoder::encode_reference(std::span<const double> spectrum) const {
+    HTIMS_EXPECTS(spectrum.size() == config_.mz_bins);
+
     // Top peaks by intensity, index as a deterministic tiebreak.
     std::vector<std::size_t> peaks;
     for (std::size_t i = 0; i < spectrum.size(); ++i)
@@ -75,6 +152,7 @@ Hypervector SpectrumEncoder::encode(std::span<const double> spectrum) const {
 
     // Bind each peak (ID XOR level) and bundle with a per-bit majority vote.
     const double maxv = spectrum[peaks.front()];
+    HTIMS_EXPECTS(std::isfinite(maxv));
     std::vector<std::uint16_t> votes(config_.dim, 0);
     for (const std::size_t bin : peaks) {
         const double rel = spectrum[bin] / maxv;
@@ -103,12 +181,9 @@ Hypervector SpectrumEncoder::encode(std::span<const double> spectrum) const {
 }
 
 std::vector<double> mz_intensity_profile(const pipeline::Frame& frame) {
-    std::vector<double> profile(frame.mz_bins(), 0.0);
-    for (std::size_t d = 0; d < frame.drift_bins(); ++d) {
-        const auto row = frame.record(d);
-        for (std::size_t mz = 0; mz < profile.size(); ++mz)
-            if (row[mz] > 0.0) profile[mz] += row[mz];
-    }
+    std::vector<double> profile(frame.mz_bins());
+    positive_column_sums(frame.data().data(), frame.drift_bins(), frame.mz_bins(),
+                         profile.data());
     return profile;
 }
 

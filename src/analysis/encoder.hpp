@@ -9,6 +9,14 @@
 // the bitwise majority over its top peaks of ID[bin] XOR LEVEL[q(intensity)],
 // with a fixed random tiebreak vector deciding even splits.
 //
+// encode() works a word at a time, as SpecHD's FPGA encoder does with its
+// bit-parallel counters: it picks the top peaks by selection
+// (std::nth_element), adds each bound word into bit_width(n) carry-save
+// counter planes by ripple carry, and takes the majority with a bit-sliced
+// compare of the counts against floor(n/2). encode_reference() is the full
+// sort and per-bit uint16 vote it replaced, kept as the oracle the tests
+// and bench_kernels compare against; both give the same bits.
+//
 // Everything is derived deterministically from the config seed, so two
 // encoders with equal configs produce bit-identical hypervectors — the
 // property the clustering digest tests pin.
@@ -48,9 +56,17 @@ public:
     const SpectrumEncoderConfig& config() const { return config_; }
     std::size_t dim() const { return config_.dim; }
 
-    /// Encode a non-negative intensity spectrum of exactly mz_bins values.
-    /// An all-zero spectrum encodes to the all-zero hypervector.
+    /// Encode an intensity spectrum of exactly mz_bins values. Only positive
+    /// bins are peaks (zero, negative and NaN bins are skipped), and an
+    /// all-zero spectrum encodes to the all-zero hypervector. Throws
+    /// PreconditionError on a wrong length or a +inf peak.
     Hypervector encode(std::span<const double> spectrum) const;
+
+    /// The oracle: encode() by a full sort of the peaks and one uint16 vote
+    /// per set bit. Same bits and preconditions, and 6-8x slower at the
+    /// paced shape (bench_kernels' speedup.hd_encode); only tests and
+    /// bench_kernels call it.
+    Hypervector encode_reference(std::span<const double> spectrum) const;
 
 private:
     SpectrumEncoderConfig config_;
@@ -62,7 +78,8 @@ private:
 /// Collapse a decoded frame to its m/z intensity profile: the sum of
 /// positive deconvolved cell values over drift time, per m/z bin. Negative
 /// excursions (deconvolution noise) are clipped so they cannot cancel real
-/// signal. This is the spectrum the analysis stage feeds the encoder.
+/// signal. This is the spectrum the analysis stage feeds the encoder; the
+/// sums run through the dispatched positive_column_sums (common/simd.hpp).
 std::vector<double> mz_intensity_profile(const pipeline::Frame& frame);
 
 }  // namespace htims::analysis

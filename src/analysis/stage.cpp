@@ -18,6 +18,7 @@ FrameVerdict AnalysisStage::analyze(std::uint32_t stream,
     static auto& clusters_c = tel.counter("analysis.clusters");
     static auto& lib_h = tel.histogram("analysis.library_distance_bits");
     static auto& cluster_h = tel.histogram("analysis.cluster_distance_bits");
+    static const auto profile_id = tel.intern("analysis.profile");
     static const auto encode_id = tel.intern("analysis.encode");
     static const auto search_id = tel.intern("analysis.search");
 
@@ -25,12 +26,17 @@ FrameVerdict AnalysisStage::analyze(std::uint32_t stream,
     verdict.stream = stream;
     verdict.frame = frame_index;
 
-    // Encode and library search touch only immutable state — keep them
-    // outside the lock so streams overlap.
+    // Profile, encode and library search touch only immutable state — keep
+    // them outside the lock so streams overlap.
+    std::vector<double> profile;
+    {
+        auto span = tel.span(profile_id);
+        profile = mz_intensity_profile(frame);
+    }
     Hypervector hv;
     {
         auto span = tel.span(encode_id);
-        hv = encoder_.encode(mz_intensity_profile(frame));
+        hv = encoder_.encode(profile);
     }
     if (library_ != nullptr && library_->size() > 0) {
         auto span = tel.span(search_id);

@@ -1,5 +1,6 @@
-// accumulate.cpp — runtime-dispatched saturating accumulate: the FPGA
-// model's BRAM capture (pipeline/fpga.cpp).
+// accumulate.cpp — two runtime-dispatched accumulation kernels: the FPGA
+// model's saturating BRAM capture (pipeline/fpga.cpp) and the positive
+// column sums of the analysis stage's m/z profile (analysis/encoder.cpp).
 //
 // Every digitized sample is added into its frame cell's accumulation word,
 // and a word that would pass its rail stays at the rail and counts one
@@ -20,6 +21,19 @@
 //
 // Both are exact integer arithmetic, so every tier leaves the same words and
 // counts; tests/test_simd.cpp pins the dispatched kernel to a scalar loop.
+//
+// The column sums add max(x, +0) down each column of a row-major block:
+//
+//   generic, neon   blocks of 8 columns in 8 scalar accumulators, then one
+//                   column at a time.
+//   avx2, avx512    blocks of 16 columns in four 256-bit accumulators, the
+//                   remaining columns through the generic kernel.
+//
+// MAXPD returns its second operand when either operand is NaN or both are
+// zero, so _mm256_max_pd(x, +0) is +0 for NaN, -0 and negative x, the same
+// term as the scalar `x > 0 ? x : +0`. Adding +0 to a sum that starts at +0
+// and only grows leaves it unchanged, so both kernels give the bits of
+// `if (x > 0) sum += x`; tests/test_simd.cpp pins that too.
 #include "common/simd.hpp"
 
 #include <algorithm>
@@ -91,6 +105,79 @@ std::uint64_t saturating_accumulate(std::int64_t* bins, const std::uint32_t* sam
                                     std::size_t count, std::int64_t rail) {
     static const AccumulateKernel kernel = select_kernel(simd_tier());
     return kernel(bins, samples, count, rail);
+}
+
+namespace {
+
+using ColumnSumKernel = void (*)(const double*, std::size_t, std::size_t, double*);
+
+/// Column sums of columns [first, cols).
+void column_sums_generic_from(const double* cells, std::size_t rows, std::size_t cols,
+                              std::size_t first, double* out) {
+    const auto positive = [](double x) { return x > 0.0 ? x : 0.0; };
+    std::size_t c = first;
+    for (; c + 8 <= cols; c += 8) {
+        double sums[8] = {};
+        for (std::size_t r = 0; r < rows; ++r)
+            for (std::size_t j = 0; j < 8; ++j) sums[j] += positive(cells[r * cols + c + j]);
+        std::copy(sums, sums + 8, out + c);
+    }
+    for (; c < cols; ++c) {
+        double sum = 0.0;
+        for (std::size_t r = 0; r < rows; ++r) sum += positive(cells[r * cols + c]);
+        out[c] = sum;
+    }
+}
+
+void column_sums_generic(const double* cells, std::size_t rows, std::size_t cols,
+                         double* out) {
+    column_sums_generic_from(cells, rows, cols, 0, out);
+}
+
+#if HTIMS_SIMD_X86
+
+__attribute__((target("avx2"))) void column_sums_avx2(const double* cells,
+                                                       std::size_t rows,
+                                                       std::size_t cols, double* out) {
+    const __m256d zero = _mm256_setzero_pd();
+    std::size_t c = 0;
+    for (; c + 16 <= cols; c += 16) {
+        __m256d s0 = zero, s1 = zero, s2 = zero, s3 = zero;
+        for (std::size_t r = 0; r < rows; ++r) {
+            const double* row = cells + r * cols + c;
+            s0 = _mm256_add_pd(s0, _mm256_max_pd(_mm256_loadu_pd(row), zero));
+            s1 = _mm256_add_pd(s1, _mm256_max_pd(_mm256_loadu_pd(row + 4), zero));
+            s2 = _mm256_add_pd(s2, _mm256_max_pd(_mm256_loadu_pd(row + 8), zero));
+            s3 = _mm256_add_pd(s3, _mm256_max_pd(_mm256_loadu_pd(row + 12), zero));
+        }
+        _mm256_storeu_pd(out + c, s0);
+        _mm256_storeu_pd(out + c + 4, s1);
+        _mm256_storeu_pd(out + c + 8, s2);
+        _mm256_storeu_pd(out + c + 12, s3);
+    }
+    column_sums_generic_from(cells, rows, cols, c, out);
+}
+
+#endif  // HTIMS_SIMD_X86
+
+ColumnSumKernel select_column_sums(SimdTier tier) {
+    switch (tier) {
+#if HTIMS_SIMD_X86
+        case SimdTier::kAvx512:
+        case SimdTier::kAvx2:
+            return column_sums_avx2;
+#endif
+        default:
+            return column_sums_generic;
+    }
+}
+
+}  // namespace
+
+void positive_column_sums(const double* cells, std::size_t rows, std::size_t cols,
+                          double* out) {
+    static const ColumnSumKernel kernel = select_column_sums(simd_tier());
+    kernel(cells, rows, cols, out);
 }
 
 }  // namespace htims

@@ -1,8 +1,8 @@
 // simd.hpp — runtime CPU dispatch for the SIMD kernels: the batched FWHT
 // (transform/fwht_batch.cpp), the Hamming distance of the HD analysis stage
 // (common/hamming.cpp), the CRC-32 of every frame container and store
-// structure (common/crc32.cpp) and the FPGA model's saturating accumulate
-// (common/accumulate.cpp).
+// structure (common/crc32.cpp), and the FPGA model's saturating accumulate
+// and the analysis stage's m/z profile fold (common/accumulate.cpp).
 //
 // The batched deconvolution path widens its butterflies to L contiguous
 // doubles per node; how wide L should be, and which kernel variant runs, is
@@ -99,5 +99,16 @@ std::uint32_t crc32_bytewise(const void* data, std::size_t bytes);
 /// both are exact, so every tier leaves the same words and count.
 std::uint64_t saturating_accumulate(std::int64_t* bins, const std::uint32_t* samples,
                                     std::size_t count, std::int64_t rail);
+
+/// Positive column sums of a row-major `rows` x `cols` block of doubles:
+/// out[c] is the sum, in row order from +0, of max(cells[r * cols + c], +0),
+/// so NaN, -0 and negative cells add +0. The analysis stage's m/z profile
+/// (analysis/encoder.cpp) runs it over each decoded frame. Dispatched once
+/// per process: 16 columns in four 256-bit accumulators at the AVX2 and
+/// AVX-512 tiers, blocks of 8 scalar accumulators elsewhere. Each column
+/// adds the same terms in the same order as `if (x > 0) sum += x`, so every
+/// tier gives that loop's bits.
+void positive_column_sums(const double* cells, std::size_t rows, std::size_t cols,
+                          double* out);
 
 }  // namespace htims

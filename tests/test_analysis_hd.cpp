@@ -7,8 +7,11 @@
 // whichever SIMD tier computes the distances.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "analysis/encoder.hpp"
@@ -21,6 +24,7 @@
 #include "instrument/peptide_library.hpp"
 #include "pipeline/fleet.hpp"
 #include "pipeline/frame.hpp"
+#include "pipeline/frame_io.hpp"
 #include "pipeline/hybrid.hpp"
 #include "prs/oversampled.hpp"
 
@@ -157,6 +161,111 @@ TEST(SpectrumEncoder, RejectsMalformedConfig) {
     cfg = {};
     cfg.top_peaks = 0;
     EXPECT_THROW(SpectrumEncoder{cfg}, ConfigError);
+}
+
+// ------------------------------------------------- encoder bundle pins ----
+//
+// encode() bundles with carry-save counters and picks its peaks by
+// selection; encode_reference() is the full sort and per-bit vote it
+// replaced, kept as the oracle. The spectra give the bundle one peak, odd
+// and even peak counts below top_peaks and above it (so the selection
+// runs), ties across the top_peaks-th place, and zero, -0.0, negative and
+// NaN bins, which are never peaks.
+
+/// `peaks` positive bins at random places; every other bin is 0, -0.0,
+/// negative or NaN. With `ties`, the positive intensities take one of four
+/// values, so equal intensities straddle any cut.
+std::vector<double> probe_spectrum(std::size_t bins, std::size_t peaks, bool ties,
+                                   Rng& rng) {
+    std::vector<double> s(bins);
+    for (auto& v : s) {
+        const double u = rng.uniform();
+        v = u < 0.4   ? 0.0
+            : u < 0.5 ? -0.0
+            : u < 0.9 ? -rng.uniform(1.0, 1000.0)
+                      : std::numeric_limits<double>::quiet_NaN();
+    }
+    std::vector<std::size_t> order(bins);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    for (std::size_t i = 0; i < std::min(peaks, bins); ++i) {
+        std::swap(order[i], order[i + rng.below(bins - i)]);
+        s[order[i]] = ties ? 100.0 * static_cast<double>(1 + rng.below(4))
+                           : rng.uniform(1.0, 1000.0);
+    }
+    return s;
+}
+
+TEST(SpectrumEncoder, PinnedDigestAtPacedShape) {
+    // The analysis stage's shape on perfbench's paced workload. Recompute
+    // deliberately only if the encoding scheme changes.
+    SpectrumEncoderConfig cfg;
+    cfg.dim = 4096;
+    cfg.mz_bins = 256;
+    cfg.top_peaks = 48;
+    cfg.levels = 32;
+    const SpectrumEncoder enc(cfg);
+    Rng rng(4096);
+    std::vector<std::vector<double>> spectra;
+    for (const std::size_t peaks :
+         {1u, 2u, 3u, 8u, 17u, 31u, 46u, 47u, 48u, 49u, 50u, 64u, 129u, 200u, 256u})
+        for (const bool ties : {false, true})
+            spectra.push_back(probe_spectrum(cfg.mz_bins, peaks, ties, rng));
+    // 40 distinct intensities, then 20 equal ones across the 48th place:
+    // the cut keeps the 8 lowest-indexed of them.
+    std::vector<double> cut(cfg.mz_bins, 0.0);
+    for (std::size_t i = 0; i < 40; ++i) cut[3 * i + 1] = 500.0 + static_cast<double>(i);
+    for (std::size_t i = 0; i < 20; ++i) cut[255 - 6 * i] = 250.0;
+    spectra.push_back(cut);
+    spectra.emplace_back(cfg.mz_bins, 7.0);  // every bin ties
+    std::uint64_t h = 14695981039346656037ULL;
+    for (const auto& s : spectra) {
+        const Hypervector hv = enc.encode(s);
+        h = pipeline::fnv1a64(hv.data(), hv.word_count() * sizeof(std::uint64_t), h);
+    }
+    EXPECT_EQ(h, 11606156861162940098ULL);
+}
+
+TEST(SpectrumEncoder, MatchesReferenceOnAGrid) {
+    // D from one word to the paced 64 words; 1 to 256 m/z; the fewest rungs and
+    // the default; top_peaks from 1 to above mz_bins. Peak counts put n at
+    // 0, 1, 2 and 3, on both sides of top_peaks, and at every bin.
+    Rng rng(23);
+    for (const std::size_t dim : {64u, 192u, 1024u, 4096u})
+        for (const std::size_t mz : {1u, 7u, 64u, 256u})
+            for (const std::size_t levels : {2u, 32u})
+                for (const std::size_t top : {1u, 2u, 5u, 48u, 300u}) {
+                    SpectrumEncoderConfig cfg;
+                    cfg.dim = dim;
+                    cfg.mz_bins = mz;
+                    cfg.levels = levels;
+                    cfg.top_peaks = top;
+                    const SpectrumEncoder enc(cfg);
+                    for (const std::size_t peaks :
+                         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
+                          top - 1, top, top + 1, mz})
+                        for (const bool ties : {false, true}) {
+                            const auto s = probe_spectrum(mz, peaks, ties, rng);
+                            ASSERT_EQ(enc.encode(s), enc.encode_reference(s))
+                                << "dim " << dim << ", mz " << mz << ", levels "
+                                << levels << ", top " << top << ", peaks " << peaks
+                                << (ties ? ", ties" : "");
+                        }
+                }
+}
+
+TEST(SpectrumEncoder, RejectsInfiniteIntensity) {
+    // A +inf peak has no rung (inf / inf is NaN); NaN bins stay skipped.
+    SpectrumEncoderConfig cfg;
+    cfg.dim = 128;
+    cfg.mz_bins = 3;
+    const SpectrumEncoder enc(cfg);
+    const std::vector<double> inf = {std::numeric_limits<double>::infinity(), 1.0, 2.0};
+    EXPECT_THROW((void)enc.encode(inf), PreconditionError);
+    EXPECT_THROW((void)enc.encode_reference(inf), PreconditionError);
+    const std::vector<double> nan = {std::numeric_limits<double>::quiet_NaN(), 1.0, 2.0};
+    const std::vector<double> zero = {0.0, 1.0, 2.0};
+    EXPECT_EQ(enc.encode(nan), enc.encode(zero));
+    EXPECT_EQ(enc.encode_reference(nan), enc.encode(zero));
 }
 
 // -------------------------------------------------------------- Library ----

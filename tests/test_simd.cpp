@@ -3,15 +3,17 @@
 // decode_batch parity against the scalar oracle (ragged lane counts, rows
 // wider than the tile, in place), the grained ThreadPool::parallel_for, the
 // CpuBackend tile path against its scalar oracle, the
-// dispatched CRC-32 kernel against the bytewise oracle, and the FPGA model's
-// integer kernels: the int64 fwht_batch, the saturating accumulate and the
-// output quantizer.
+// dispatched CRC-32 kernel against the bytewise oracle, the FPGA model's
+// integer kernels (the int64 fwht_batch, the saturating accumulate and the
+// output quantizer), and the analysis stage's positive column sums.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <tuple>
 #include <vector>
@@ -491,6 +493,45 @@ TEST_P(SaturatingAccumulateParity, MatchesScalarLoop) {
 
 INSTANTIATE_TEST_SUITE_P(WordWidths, SaturatingAccumulateParity,
                          ::testing::Values(2, 8, 12, 32, 63));
+
+// ------------------------------------------------ positive column sums ----
+// The analysis stage's m/z profile fold against the per-cell branch loop it
+// replaces, bit for bit. Widths put every vector block and tail in play;
+// magnitudes spread over 2^±30 so a changed summation order would change
+// the bits. Cells hold negatives, ±0 and NaN, and the last column one +inf.
+
+class PositiveColumnSumsParity : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PositiveColumnSumsParity, MatchesBranchLoopBitForBit) {
+    const std::size_t cols = GetParam();
+    for (const std::size_t rows : {1u, 7u, 510u}) {
+        Rng rng(83 + cols * 1000 + rows);
+        AlignedVector<double> cells(rows * cols);
+        for (auto& x : cells) {
+            const double u = rng.uniform();
+            x = u < 0.05   ? 0.0
+                : u < 0.1  ? -0.0
+                : u < 0.15 ? std::numeric_limits<double>::quiet_NaN()
+                           : rng.uniform(-0.6, 1.0) *
+                                 std::ldexp(1.0, static_cast<int>(rng.below(61)) - 30);
+        }
+        cells[(rows / 2) * cols + cols - 1] = std::numeric_limits<double>::infinity();
+        std::vector<double> want(cols, 0.0);
+        for (std::size_t r = 0; r < rows; ++r)
+            for (std::size_t c = 0; c < cols; ++c)
+                if (cells[r * cols + c] > 0.0) want[c] += cells[r * cols + c];
+        std::vector<double> got(cols, -1.0);
+        positive_column_sums(cells.data(), rows, cols, got.data());
+        for (std::size_t c = 0; c < cols; ++c)
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got[c]),
+                      std::bit_cast<std::uint64_t>(want[c]))
+                << "tier " << simd_tier_name(simd_tier()) << ", rows " << rows
+                << ", column " << c << ": " << got[c] << " vs " << want[c];
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, PositiveColumnSumsParity,
+                         ::testing::Values(1, 3, 8, 15, 16, 17, 33, 256));
 
 // -------------------------------------------------------- quantizer ----
 // The FPGA model's integer output register against the Fixed path it
